@@ -47,18 +47,14 @@ Measures, on one deterministic layer-by-layer workload:
    ``analyze_generation`` 2-D pass.  Without NumPy the vector fields stay
    null and the snapshot still runs end to end.
 
-6. **Persistent cache store throughput** (PR 10) — both persistent store
-   backends (the legacy JSON directory and the SQLite database) filled with
-   the same >=10k entries, then hammered with identical warm batched
-   lookups.  Bit-identical schedule readback across the backends is
-   asserted before any throughput is reported.  The headline compares
-   ``fetch_many`` (the storage primitive: key → validated record); the
-   fully-validated ``get_many`` times ride along.  The ``transactions``
-   counter doubles as a files-touched count for the JSON store (one per
-   file) versus one round trip per batch for SQLite — the structural
-   reason for the speedup.  A second SQLite store is overfilled against a
-   ``max_bytes`` budget to record that put-time eviction holds the
-   occupancy bound.
+6. **Persistent cache store throughput** — the SQLite store filled
+   with >=10k entries, then hammered with warm batched lookups.
+   Bit-identical schedule readback is asserted before any throughput is
+   reported.  The headline times ``fetch_many`` (the storage primitive:
+   key → validated record); the fully-validated ``get_many`` time rides
+   along, and the ``transactions`` counter confirms one round trip per
+   batch.  A second store is overfilled against a ``max_bytes`` budget to
+   record that put-time eviction holds the occupancy bound.
 
 Writes a JSON document (default ``BENCH_PR10.json``) so CI finally records
 perf data points over time::
@@ -102,7 +98,7 @@ from repro.core import (  # noqa: E402
     numpy_available,
     patch_problem,
 )
-from repro.engine.store import JsonDirStore, SqliteStore  # noqa: E402
+from repro.engine.store import SqliteStore  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 from repro.generators import fixed_ls_workload  # noqa: E402
 
@@ -386,20 +382,16 @@ def measure_structural(problem, *, repeats, probe_limit):
 
 
 def measure_cache(problem, *, entries, batch, repeats):
-    """JSON-dir vs SQLite persistent store: warm batched lookup throughput.
+    """SQLite persistent store: warm batched lookup throughput.
 
-    Both backends hold the same ``entries`` records; the same warm batch of
-    ``batch`` keys is then looked up against each.  Bit-identical schedule
-    readback across the backends is asserted *before* any speedup is
-    reported.  The headline speedup compares ``fetch_many`` — the storage
-    primitive (key → validated record) — because reconstructing a
-    ``Schedule`` from a record costs the same on every backend and would
-    only dilute what the store layer changed; the fully-validated
-    ``get_many`` times are reported alongside.  ``transactions`` doubles as
-    a files-touched count for the JSON store (one per file) versus one
-    round trip per batch for SQLite.  Finally a budgeted SQLite store is
-    overfilled to record that put-time eviction keeps occupancy within
-    ``max_bytes``.
+    The store holds ``entries`` records; the same warm batch of ``batch``
+    keys is then looked up repeatedly.  Bit-identical schedule readback is
+    asserted *before* any throughput is reported.  The headline times
+    ``fetch_many`` — the storage primitive (key → validated record) —
+    because reconstructing a ``Schedule`` from a record would only dilute
+    what the store layer does; the fully-validated ``get_many`` time is
+    reported alongside.  Finally a budgeted store is overfilled to record
+    that put-time eviction keeps occupancy within ``max_bytes``.
     """
     repeats = max(repeats, 5)  # file-system timings are noisy; keep best-of fair
     record = analyze_incremental(problem).to_dict()
@@ -407,34 +399,24 @@ def measure_cache(problem, *, entries, batch, repeats):
     keys = [f"bench-{index:08d}" for index in range(entries)]
     sample = keys[:: max(entries // batch, 1)][:batch]
     with tempfile.TemporaryDirectory() as scratch:
-        json_store = JsonDirStore(Path(scratch) / "json")
-        sqlite_store = SqliteStore(Path(scratch) / "cache.sqlite")
-        fill_seconds = {}
-        for store in (json_store, sqlite_store):
-            started = time.perf_counter()
-            for start in range(0, entries, 2048):
-                store.put_many(
-                    [(key, record, ("bench", key)) for key in keys[start : start + 2048]]
-                )
-            fill_seconds[store.kind] = time.perf_counter() - started
+        store = SqliteStore(Path(scratch) / "cache.sqlite")
+        started = time.perf_counter()
+        for start in range(0, entries, 2048):
+            store.put_many(
+                [(key, record, ("bench", key)) for key in keys[start : start + 2048]]
+            )
+        fill_seconds = time.perf_counter() - started
 
-        # bit-identical readback across the two backends, asserted first
+        # bit-identical readback, asserted first
         canonical = json.dumps(record, sort_keys=True)
-        json_loaded = json_store.get_many(sample)
-        sqlite_loaded = sqlite_store.get_many(sample)
-        for key in sample:
-            json_record, json_schedule = json_loaded[key]
-            sqlite_record, sqlite_schedule = sqlite_loaded[key]
+        for loaded_record, schedule in store.get_many(sample).values():
             if (
-                json.dumps(json_record, sort_keys=True) != canonical
-                or json.dumps(sqlite_record, sort_keys=True) != canonical
-                or json_schedule.to_dict() != sqlite_schedule.to_dict()
+                json.dumps(loaded_record, sort_keys=True) != canonical
+                or json.dumps(schedule.to_dict(), sort_keys=True) != canonical
             ):
-                raise SystemExit(
-                    "BUG: cache readback diverged between the JSON and SQLite stores"
-                )
+                raise SystemExit("BUG: cache readback diverged from the stored record")
 
-        def timed_lookup(store, lookup):
+        def timed_lookup(lookup):
             transactions_before = store.stats.transactions
             seconds, loaded = _best_of(repeats, lambda: lookup(sample))
             if len(loaded) != len(sample):
@@ -442,14 +424,9 @@ def measure_cache(problem, *, entries, batch, repeats):
             per_batch = (store.stats.transactions - transactions_before) / repeats
             return seconds, per_batch
 
-        json_seconds, json_transactions = timed_lookup(json_store, json_store.fetch_many)
-        sqlite_seconds, sqlite_transactions = timed_lookup(
-            sqlite_store, sqlite_store.fetch_many
-        )
-        json_validated_seconds, _ = timed_lookup(json_store, json_store.get_many)
-        sqlite_validated_seconds, _ = timed_lookup(sqlite_store, sqlite_store.get_many)
-        json_store.close()
-        sqlite_store.close()
+        seconds, transactions = timed_lookup(store.fetch_many)
+        validated_seconds, _ = timed_lookup(store.get_many)
+        store.close()
 
         # put-time eviction must hold the byte budget after every batch
         evict_budget = record_size * 64
@@ -473,30 +450,15 @@ def measure_cache(problem, *, entries, batch, repeats):
         }
         evict_store.close()
 
-    speedup = json_seconds / sqlite_seconds if sqlite_seconds else None
-    validated_speedup = (
-        json_validated_seconds / sqlite_validated_seconds
-        if sqlite_validated_seconds
-        else None
-    )
     return {
         "entries": entries,
         "batch": batch,
         "record_bytes": record_size,
         "fill_seconds": fill_seconds,
-        "json_batch_seconds": json_seconds,
-        "sqlite_batch_seconds": sqlite_seconds,
-        "json_lookups_per_second": batch / json_seconds if json_seconds else None,
-        "sqlite_lookups_per_second": batch / sqlite_seconds if sqlite_seconds else None,
-        "json_seconds_per_lookup": json_seconds / batch if batch else None,
-        "sqlite_seconds_per_lookup": sqlite_seconds / batch if batch else None,
-        "json_validated_batch_seconds": json_validated_seconds,
-        "sqlite_validated_batch_seconds": sqlite_validated_seconds,
-        "validated_speedup": validated_speedup,
-        "json_files_touched_per_batch": json_transactions,
-        "sqlite_transactions_per_batch": sqlite_transactions,
-        "speedup": speedup,
-        "meets_3x_target": speedup is not None and speedup >= 3.0,
+        "batch_seconds": seconds,
+        "lookups_per_second": batch / seconds if seconds else None,
+        "validated_batch_seconds": validated_seconds,
+        "transactions_per_batch": transactions,
         "eviction": eviction,
     }
 
@@ -637,17 +599,14 @@ def main() -> int:
         )
     )
     print(
-        "cache: {entries} entries | warm batch of {batch} | json {js:.4f}s "
-        "({jf:.0f} files) | sqlite {ss:.4f}s ({st:.0f} txn) | speedup x{speedup:.2f} "
-        "(validated x{validated:.2f}) | eviction held budget: {held}".format(
+        "cache: {entries} entries | warm batch of {batch} | {seconds:.4f}s "
+        "({txn:.0f} txn, validated {validated:.4f}s) | eviction held budget: "
+        "{held}".format(
             entries=cache["entries"],
             batch=cache["batch"],
-            js=cache["json_batch_seconds"],
-            jf=cache["json_files_touched_per_batch"],
-            ss=cache["sqlite_batch_seconds"],
-            st=cache["sqlite_transactions_per_batch"],
-            speedup=cache["speedup"],
-            validated=cache["validated_speedup"],
+            seconds=cache["batch_seconds"],
+            txn=cache["transactions_per_batch"],
+            validated=cache["validated_batch_seconds"],
             held=cache["eviction"]["held_budget"],
         )
     )

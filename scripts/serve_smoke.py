@@ -3,8 +3,10 @@
 
 Used by CI (and runnable by hand) to prove the service stack end to end
 through a *real* subprocess and real HTTP: health check, single analysis,
-batch round-trip against the in-process engine, a minimal-horizon search and
-the telemetry endpoint.
+batch round-trip against the in-process engine, a minimal-horizon search,
+memory searches of two same-structure problems that differ in one WCET, a
+``deltas`` batch mixing a parameter and a structural record, the 400 that
+answers a retired batch form, and the telemetry endpoint.
 
 Usage::
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import queue
+import signal
 import subprocess
 import sys
 import threading
@@ -27,10 +30,28 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import analyze_many  # noqa: E402
-from repro.analysis import minimal_horizon  # noqa: E402
+from repro import analyze, analyze_many  # noqa: E402
+from repro.analysis import memory_sensitivity, minimal_horizon  # noqa: E402
+from repro.core import AnalysisProblem, StructureOverlay, compile_problem  # noqa: E402
+from repro.errors import ServiceError  # noqa: E402
 from repro.generators import fixed_ls_workload  # noqa: E402
+from repro.io import problem_to_dict  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
+
+
+def _first_wcet_scaled(problem: AnalysisProblem, factor: int) -> AnalysisProblem:
+    """Same structure as ``problem``; only the first task's WCET differs."""
+    graph = problem.graph.copy()
+    first = next(iter(graph))
+    graph.replace_task(first.with_wcet(first.wcet * factor))
+    return AnalysisProblem(
+        graph=graph,
+        mapping=problem.mapping,
+        platform=problem.platform,
+        arbiter=problem.arbiter,
+        horizon=problem.horizon,
+        name=f"{problem.name}-wcet0x{factor}",
+    )
 
 
 def main() -> int:
@@ -113,6 +134,45 @@ def main() -> int:
         assert search["minimal_horizon"] == minimal_horizon(problems[0]), search
         print(f"search ok (minimal horizon {search['minimal_horizon']})", flush=True)
 
+        # two problems with one structure and one different WCET: each served
+        # search must run against its own problem, not a kernel the workers
+        # compiled for the other one
+        base = fixed_ls_workload(64, 8, core_count=4, seed=5).to_problem()
+        base = base.with_horizon(int(1.5 * analyze(base).makespan))
+        for problem in (base, _first_wcet_scaled(base, 50)):
+            served = client.search(problem, kind="memory", algorithm="incremental")
+            local = memory_sensitivity(problem, algorithm="incremental")
+            verdict = (served["breaking_factor"], served["makespan_at_break"])
+            expected = (local.breaking_factor, local.makespan_at_break)
+            assert verdict == expected, (
+                f"{problem.name}: served {verdict}, in-process {expected}"
+            )
+            print(f"search {problem.name} ok (breaking factor {verdict[0]})", flush=True)
+
+        # one deltas batch mixing a parameter record and a structural record
+        kernel = compile_problem(problems[1])
+        last = kernel.names[kernel.topo_order[-1]]
+        probes = [
+            kernel.with_overlay(kernel.scaled_demand_overlay(1.5), name="demand-x1.5"),
+            kernel.patched(StructureOverlay.remap_task(last, core=0), name="remap-last"),
+        ]
+        remote = client.analyze_many_deltas(probes)
+        for probe, schedule in zip(probes, remote):
+            expected = analyze(probe).to_dict()["entries"]
+            assert schedule.to_dict()["entries"] == expected, probe.name
+        print(f"deltas batch ok ({len(remote)} probes, parameter + structural)", flush=True)
+
+        # a retired batch form answers 400 and points at the 'deltas' form
+        try:
+            client._request(
+                "POST", "/batch", {"problem": problem_to_dict(problems[1]), "overlays": []}
+            )
+        except ServiceError as exc:
+            assert exc.status == 400 and "'deltas'" in str(exc), exc
+        else:
+            raise AssertionError("an 'overlays' batch was accepted")
+        print("retired 'overlays' form answers 400 naming 'deltas'", flush=True)
+
         metrics = client.metrics()
         assert "# TYPE repro_runtime_jobs_completed_total counter" in metrics, metrics
         assert "repro_service_info{" in metrics, metrics
@@ -125,7 +185,7 @@ def main() -> int:
         print(f"metrics ok ({len(metrics.splitlines())} lines, {completed[0]})", flush=True)
 
         stats = client.stats()
-        assert stats["queue"]["submitted"] >= 4, stats
+        assert stats["queue"]["submitted"] >= 6, stats
         assert stats["runtime"]["backend"] == args.backend, stats
         print(
             "stats ok "
@@ -137,7 +197,9 @@ def main() -> int:
         print("SMOKE PASSED", flush=True)
         return 0
     finally:
-        process.terminate()
+        # SIGINT is the server's graceful stop: it shuts its worker pool
+        # down, where SIGTERM would leave the pool's processes orphaned
+        process.send_signal(signal.SIGINT)
         try:
             process.wait(timeout=10)
         except subprocess.TimeoutExpired:

@@ -14,7 +14,7 @@ parent's schedule, so analyzers replay the unchanged prefix instead of
 re-deriving it (bit-identical verdicts, counted by
 ``ScheduleStats.warm_start_hits``).  On a runtime-bound driver the grid fans
 out across the warm pool — or, with a ``remote`` runtime, across a fleet via
-the structural ``POST /batch`` wire form — without any additional kernel
+the ``POST /batch`` delta wire form — without any additional kernel
 compilation.
 """
 
@@ -32,8 +32,6 @@ from ..core import (
     StructureOverlay,
     analyze,
     compile_problem,
-    compute_warm_start,
-    patch_problem,
 )
 from ..errors import AnalysisError
 from .search import SearchDriver, resolve_algorithm
@@ -218,21 +216,15 @@ def structural_what_if(
         parent_schedule = driver.evaluate([parent_probe], remaining_generations=1)[0]
     else:
         parent_schedule = analyze(parent_probe, algorithm)
-    probes: List[PatchedProblem] = []
-    for index, delta in enumerate(deltas):
-        name = _probe_name(base.name, delta, index)
-        child = patch_problem(kernel, delta, name=name)
-        warm = compute_warm_start(kernel, child, delta, parent_schedule)
-        probes.append(
-            PatchedProblem(
-                kernel,
-                delta,
-                name=name,
-                kernel=child,
-                warm=warm,
-                parent_schedule=parent_schedule,
-            )
+    probes = [
+        PatchedProblem(
+            kernel,
+            delta,
+            name=_probe_name(base.name, delta, index),
+            parent_schedule=parent_schedule,
         )
+        for index, delta in enumerate(deltas)
+    ]
     if driver is not None:
         schedules = driver.evaluate(probes, remaining_generations=0)
     else:

@@ -296,16 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
             "  repro-rta cache prune ~/.cache/repro --max-bytes 268435456\n"
             "\n"
             "Paths accept the same forms as --cache-dir everywhere: a\n"
-            "directory (SQLite by default, REPRO_CACHE_STORE=json for the\n"
-            "legacy layout), a .sqlite/.db file, or an explicit sqlite://\n"
-            "or json:// URL.  See docs/architecture.md (Cache store)."
+            "directory (the store is <dir>/cache.sqlite), a .sqlite/.db\n"
+            "file, or a sqlite:// URL.  The store is always SQLite; a legacy\n"
+            "JSON cache directory is imported by 'migrate', or automatically\n"
+            "the first time it is opened as a cache directory.  See\n"
+            "docs/architecture.md (Cache store)."
         ),
     )
     cache_commands = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_commands.add_parser(
         "stats", help="report entries, bytes and hit telemetry of a cache store"
     )
-    cache_stats.add_argument("path", help="cache directory, database file or store URL")
+    cache_stats.add_argument("path", help="cache directory, database file or sqlite:// URL")
     cache_migrate = cache_commands.add_parser(
         "migrate",
         help="ingest a legacy JSON cache directory into a SQLite store (idempotent)",
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_prune = cache_commands.add_parser(
         "prune", help="evict least-recently-used entries down to the given budgets"
     )
-    cache_prune.add_argument("path", help="cache directory, database file or store URL")
+    cache_prune.add_argument("path", help="cache directory, database file or sqlite:// URL")
     cache_prune.add_argument("--max-entries", type=int, help="keep at most this many entries")
     cache_prune.add_argument("--max-bytes", type=int, help="keep at most this many payload bytes")
 
@@ -760,7 +762,6 @@ def _command_cache(args: argparse.Namespace) -> int:
             lookups = store.stats.lookups
             hit_rate = f"{store.stats.hit_rate() * 100:.0f}%" if lookups else "-"
             rows = [
-                ["backend", store.kind],
                 ["location", str(store.path)],
                 ["entries", str(entries)],
                 ["bytes", str(size)],

@@ -44,7 +44,7 @@ from .. import obs
 from ..errors import ConvergenceError
 from ..model import MemoryDemand
 from .interference import IbusCallCounter, interference_from_overlaps
-from .kernel import OverlayProblem, PatchedProblem, compile_problem
+from .kernel import OverlayProblem, compile_problem
 from .problem import AnalysisProblem
 from .schedule import Schedule, ScheduledTask, ScheduleStats
 from .vector import resolve_backend, run_fixedpoint_vector, vector_supported
@@ -113,11 +113,13 @@ class FixedPointAnalyzer:
     def _run(self) -> Schedule:
         started = _time.perf_counter()
         problem = self.problem
+        warm = None
         if isinstance(problem, OverlayProblem):
             kernel = problem.kernel
             wcet = problem.wcet_vector()
             demand = problem.demand_vector()
             horizon = problem.horizon
+            warm = problem.warm
             compiled = 0
         else:
             if problem.task_count == 0:
@@ -169,8 +171,7 @@ class FixedPointAnalyzer:
         )
 
         warm_hits = 0
-        if isinstance(problem, PatchedProblem) and problem.warm is not None:
-            warm = problem.warm
+        if warm is not None:
             sched = warm.schedule
             if (
                 sched.algorithm == "fixedpoint"

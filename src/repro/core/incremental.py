@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .. import obs
 from .events import AnalysisTrace
 from .interference import IbusCallCounter, InterferenceTracker
-from .kernel import OverlayProblem, PatchedProblem, compile_problem
+from .kernel import OverlayProblem, compile_problem
 from .problem import AnalysisProblem
 from .schedule import Schedule, ScheduledTask, ScheduleStats
 from .vector import _numpy, resolve_backend
@@ -226,11 +226,7 @@ class IncrementalAnalyzer:
 
         warm_hits = 0
         resume = None
-        if (
-            self.trace is None
-            and isinstance(problem, PatchedProblem)
-            and problem.warm is not None
-        ):
+        if self.trace is None and getattr(problem, "warm", None) is not None:
             resume = self._warm_resume(
                 problem, kernel, wcet, demand, horizon, start, counter
             )

@@ -1,4 +1,4 @@
-"""Compiled problem kernel: integer-indexed analysis structure + parameter overlays.
+"""Compiled problem kernel: integer-indexed analysis structure + delta probes.
 
 The design-space workloads of :mod:`repro.analysis` (sensitivity bracketing,
 horizon minimisation, bench sweeps) analyse hundreds of *perturbed variants of
@@ -23,8 +23,10 @@ A :class:`CompiledProblem` derives that structure **once**:
   each shared bank.
 
 A :class:`ParamOverlay` is a cheap delta against that structure: a replacement
-WCET vector, a replacement demand vector and/or an alternate horizon.
-:class:`OverlayProblem` pairs a kernel with an overlay; both analyzers
+WCET vector, a replacement demand vector and/or an alternate horizon; a
+:class:`StructureOverlay` is a single structural edit.  Either way the probe is
+an :class:`OverlayProblem`: a parent kernel, one delta and an optional warm
+start (:class:`PatchedProblem` builds the structural kind); both analyzers
 (:class:`~repro.core.incremental.IncrementalAnalyzer`,
 :class:`~repro.core.fixedpoint.FixedPointAnalyzer`) run on it natively —
 no graph copy, no re-validation, no re-walk of the adjacency.  Algorithms that
@@ -106,7 +108,7 @@ class CompiledProblem:
     core), ``dep_list``/``dep_offsets`` the reverse relation.
 
     The compiled structure is shared freely across overlays and threads; it is
-    never mutated after construction (the lazily cached structure digest is
+    never mutated after construction (the lazily cached digest pair is
     write-once).  Compile through :func:`compile_problem` (or
     :meth:`CompiledProblem.compile`) so the process-wide compilation counter
     stays accurate.
@@ -132,7 +134,7 @@ class CompiledProblem:
         "reserved_banks",
         "bank_tasks",
         "sorted_order",
-        "_structure_digest",
+        "_digests",
         "_vector_state",
     )
 
@@ -230,7 +232,9 @@ class CompiledProblem:
         self.sorted_order: Tuple[int, ...] = tuple(
             sorted(range(n), key=names.__getitem__)
         )
-        self._structure_digest: Optional[str] = None
+        #: write-once (structure, parameters) digest pair of ``problem``,
+        #: filled in by repro.engine.jobs on first use
+        self._digests: Optional[Tuple[str, str]] = None
         #: write-once cache of the NumPy arrays repro.core.vector derives from
         #: this kernel (None until the vector backend first analyses it)
         self._vector_state: Optional[Any] = None
@@ -413,10 +417,20 @@ class ParamOverlay:
 
 
 class OverlayProblem:
-    """A compiled kernel plus a parameter overlay — analyzable like a problem.
+    """A probe: a parent kernel plus one delta, analyzable like a problem.
 
-    The kernel-aware analyzers run it directly on the index arrays (no graph
-    copy, no validation, no structure walk); everything else —
+    Every probe carries the same three parts, whatever its delta:
+
+    * ``parent`` — the compiled kernel the delta applies to;
+    * ``delta`` — ``None`` for a parameter probe (the delta is ``overlay``),
+      or the :class:`StructureOverlay` edit of a :class:`PatchedProblem`;
+    * ``warm`` — an optional :class:`WarmStart` from the parent's solution
+      (only structural probes carry one).
+
+    ``kernel`` is the kernel the analyzers run on: the parent itself for a
+    parameter probe, the patched child for a structural one.  The
+    kernel-aware analyzers run the probe directly on the index arrays (no
+    graph copy, no validation, no structure walk); everything else —
     non-kernel-aware plug-in algorithms, the JSON problem format — goes
     through :meth:`materialize`, which builds (and caches) an equivalent
     :class:`AnalysisProblem`.  The overlay vectors must match the kernel's
@@ -427,7 +441,7 @@ class OverlayProblem:
     does not participate in digests.
     """
 
-    __slots__ = ("kernel", "overlay", "name", "_materialized")
+    __slots__ = ("kernel", "overlay", "name", "parent", "delta", "warm", "_materialized")
 
     def __init__(
         self,
@@ -448,6 +462,9 @@ class OverlayProblem:
         self.kernel = kernel
         self.overlay = overlay
         self.name = name if name is not None else kernel.problem.name
+        self.parent = kernel
+        self.delta: Optional[StructureOverlay] = None
+        self.warm: Optional[WarmStart] = None
         self._materialized: Optional[AnalysisProblem] = None
 
     # -- problem-like surface -------------------------------------------
@@ -1070,20 +1087,17 @@ def compute_warm_start(
 
 
 class PatchedProblem(OverlayProblem):
-    """A structurally patched kernel, analyzable like any overlay probe.
+    """Builds a structural probe: patches the parent and warm-starts the child.
 
-    Carries the parent kernel, the structural delta and (when a parent
-    schedule was supplied) the :class:`WarmStart` the analyzers use to skip
-    the unchanged prefix.  The parameter overlay is the identity — parameter
-    and structural dimensions compose by patching first, then binding a
-    :class:`ParamOverlay` onto the patched kernel.
-
-    Everything downstream of the kernel handle (digests, wire formats,
-    materialization, plug-in algorithms) works unchanged because this *is*
-    an :class:`OverlayProblem` over the patched kernel.
+    The probe's kernel is ``parent`` patched with ``delta`` (or the given
+    ``kernel``), its overlay is the identity, and — when a parent schedule
+    was supplied — ``warm`` is the :class:`WarmStart` the analyzers use to
+    skip the unchanged prefix.  Parameter and structural dimensions compose
+    by patching first, then binding a :class:`ParamOverlay` onto the patched
+    kernel.  Everything else is the plain :class:`OverlayProblem` surface.
     """
 
-    __slots__ = ("parent", "delta", "warm")
+    __slots__ = ()
 
     def __init__(
         self,

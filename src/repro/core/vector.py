@@ -268,7 +268,7 @@ def _vector_state(kernel: CompiledProblem) -> _VectorState:
     state = kernel._vector_state
     if state is None:
         state = _VectorState(kernel)
-        kernel._vector_state = state  # write-once, like the structure digest
+        kernel._vector_state = state  # write-once, like the digest pair
     return state
 
 
@@ -454,8 +454,8 @@ def generation_supported(
     """True when :func:`analyze_generation` would run one batched 2-D pass.
 
     Eligibility: the ``fixedpoint`` algorithm, a resolved ``vector`` backend,
-    and every probe a plain :class:`OverlayProblem` over the *same* compiled
-    kernel (structural :class:`PatchedProblem` probes carry warm-start state
+    and every probe a parameter :class:`OverlayProblem` (``delta is None``)
+    over the *same* compiled kernel (structural probes carry warm-start state
     the batched pass does not model — they keep the scalar path).
     """
     if algorithm.strip().lower() != "fixedpoint" or not problems:
@@ -466,10 +466,13 @@ def generation_supported(
     except AnalysisError:
         return False
     first = problems[0]
-    if type(first) is not OverlayProblem:
+    if not isinstance(first, OverlayProblem):
         return False
     kernel = first.kernel
-    if any(type(p) is not OverlayProblem or p.kernel is not kernel for p in problems):
+    if any(
+        not isinstance(p, OverlayProblem) or p.delta is not None or p.kernel is not kernel
+        for p in problems
+    ):
         return False
     return vector_supported(
         kernel, kernel.wcet, kernel.demand, kernel.horizon
@@ -685,7 +688,7 @@ def analyze_generation(
     """Analyse a whole overlay generation; batched when eligible, serial else.
 
     When :func:`generation_supported` holds — the ``fixedpoint`` algorithm on
-    plain :class:`OverlayProblem` probes sharing one kernel, vector backend
+    parameter :class:`OverlayProblem` probes sharing one kernel, vector backend
     resolved — the entire generation runs as one lockstep 2-D pass (counted
     by :func:`generation_pass_count`).  Otherwise every probe is analysed
     individually through the registry, so the result contract is uniform:

@@ -6,9 +6,9 @@ throughput-oriented service layer:
 * :mod:`repro.engine.jobs` — :class:`AnalysisJob` and the canonical content
   digest that identifies an :class:`~repro.core.AnalysisProblem`;
 * :mod:`repro.engine.cache` — a two-tier :class:`ResultCache` (LRU memory
-  over a persistent :mod:`repro.engine.store` backend — WAL-mode SQLite by
-  default, JSON directory as fallback) keyed by digest + algorithm + schema
-  version, with batched ``get_many``/``put_many`` lookups;
+  over a persistent WAL-mode SQLite :mod:`repro.engine.store`) keyed by
+  digest + algorithm + schema version, with batched ``get_many``/``put_many``
+  lookups;
 * :mod:`repro.engine.executor` — process-pool fan-out with chunking,
   deterministic result ordering and streaming progress callbacks;
 * :mod:`repro.engine.batch` — the high-level :func:`analyze_many` /
@@ -37,15 +37,13 @@ from .batch import BatchAnalyzer, BatchReport, analyze_many
 from .cache import CacheStats, ResultCache
 from .executor import ProgressCallback, ProgressEvent, default_worker_count, run_jobs
 from .jobs import SCHEMA_VERSION, AnalysisJob, canonical_problem_dict, problem_digest
-from .store import CacheStore, JsonDirStore, SqliteStore, migrate_json_dir, open_store
+from .store import SqliteStore, migrate_json_dir, open_store
 
 __all__ = [
     "AnalysisJob",
     "BatchAnalyzer",
     "BatchReport",
     "CacheStats",
-    "CacheStore",
-    "JsonDirStore",
     "ProgressCallback",
     "ProgressEvent",
     "ResultCache",

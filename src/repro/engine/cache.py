@@ -1,9 +1,8 @@
 """Two-tier result cache for the batch-analysis engine.
 
 Tier 1 is a bounded in-memory LRU; tier 2 is an optional persistent
-:class:`~repro.engine.store.CacheStore` — SQLite by default, with the original
-JSON-directory layout as a fallback (see :mod:`repro.engine.store` for the
-path/URL selection rules).  Keys come from
+:class:`~repro.engine.store.SqliteStore` (see :mod:`repro.engine.store` for
+the path forms it accepts).  Keys come from
 :attr:`repro.engine.jobs.AnalysisJob.cache_key`, i.e. problem content digest +
 algorithm + schema version, so a cache path can be shared between sweeps,
 re-runs and even machines: any analysis of identical problem content is a hit.
@@ -30,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .. import obs
 from ..core import Schedule
 from ..errors import CacheError
-from .store import CacheStore, open_store
+from .store import SqliteStore, open_store
 
 __all__ = ["CacheStats", "ResultCache"]
 
@@ -41,12 +40,11 @@ PathLike = Union[str, Path]
 class CacheStats:
     """Hit/miss bookkeeping; ``hits = memory_hits + disk_hits``.
 
-    ``corrupt`` counts disk entries that could not be decoded (truncated JSON
-    left by a killed process, tampered envelopes, malformed schedules); each
-    is quarantined on first sight and the lookup proceeds as a miss.
-    ``evictions`` counts entries dropped by the size budgets,
-    ``transactions`` counts storage round trips (one per batch on SQLite; one
-    per file touched on the JSON layout), and ``disk_entries``/``disk_bytes``
+    ``corrupt`` counts disk entries that could not be decoded (unreadable
+    blobs, malformed schedules); each is quarantined on first sight and the
+    lookup proceeds as a miss.  ``evictions`` counts entries dropped by the
+    size budgets, ``transactions`` counts storage round trips (one per
+    batch), and ``disk_entries``/``disk_bytes``
     snapshot store occupancy (refreshed by :meth:`ResultCache.stats_dict`).
     """
 
@@ -93,16 +91,15 @@ SplitDigests = Optional[Tuple[str, str]]
 
 
 class ResultCache:
-    """LRU memory cache over an optional persistent :class:`CacheStore`.
+    """LRU memory cache over an optional persistent :class:`SqliteStore`.
 
     ``path=None`` gives a memory-only cache; otherwise entries also go to the
-    store selected by ``path`` (``sqlite://`` / ``json://`` URLs, ``.sqlite``
-    files, or a plain cache directory — SQLite by default, see
-    :mod:`repro.engine.store`) and survive the process.  ``memory_limit``
-    bounds the number of in-memory entries; ``memory_limit=0`` disables the
-    memory tier entirely.  ``max_entries`` / ``max_bytes`` budget the
-    persistent tier: puts that push past a budget evict
-    least-recently-accessed entries in the same transaction.
+    store at ``path`` (a ``sqlite://`` URL, a ``.sqlite`` file, or a plain
+    cache directory — see :mod:`repro.engine.store`) and survive the
+    process.  ``memory_limit`` bounds the number of in-memory entries;
+    ``memory_limit=0`` disables the memory tier entirely.  ``max_entries`` /
+    ``max_bytes`` budget the persistent tier: puts that push past a budget
+    evict least-recently-accessed entries in the same transaction.
     """
 
     def __init__(
@@ -119,13 +116,13 @@ class ResultCache:
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         self._lock = threading.Lock()
-        self.store: Optional[CacheStore] = (
+        self.store: Optional[SqliteStore] = (
             None
             if path is None
             else open_store(path, self.stats, max_entries=max_entries, max_bytes=max_bytes)
         )
-        #: resolved filesystem location of the persistent tier (the store's
-        #: directory or database file); ``None`` for a memory-only cache
+        #: resolved database file of the persistent tier; ``None`` for a
+        #: memory-only cache
         self.path: Optional[Path] = None if self.store is None else self.store.path
 
     # ------------------------------------------------------------------
@@ -230,8 +227,8 @@ class ResultCache:
     def drop_structure(self, structure_digest: str) -> int:
         """Invalidate every persistent entry of one structure digest.
 
-        One indexed ``DELETE`` on the SQLite store (O(n) envelope scan on the
-        JSON layout).  The memory tier does not track split digests, so it is
+        One indexed ``DELETE`` on the store.  The memory tier does not track
+        split digests, so it is
         dropped wholesale — conservative, but never stale.  Returns the number
         of persistent entries removed.
         """
@@ -252,10 +249,9 @@ class ResultCache:
     def clear(self, *, disk: bool = True) -> None:
         """Drop the memory tier and (optionally) every persistent entry.
 
-        Quarantined entries are dropped too.  The JSON store only deletes
-        files it wrote itself (64-hex-char SHA-256 stems), so pointing the
-        cache at a directory that also holds user JSON files never destroys
-        them.
+        Quarantined entries are dropped too.  Only the store's database is
+        touched, so a cache directory that also holds user files never
+        loses them.
         """
         with self._lock:
             self._memory.clear()
@@ -263,11 +259,7 @@ class ResultCache:
             self.store.clear()
 
     def stats_dict(self) -> Dict[str, float]:
-        """:meth:`CacheStats.to_dict` with fresh ``disk_entries``/``disk_bytes``.
-
-        Cheap aggregates on SQLite; lazily re-sampled on the JSON layout (a
-        full directory scan, throttled to once per few seconds).
-        """
+        """:meth:`CacheStats.to_dict` with fresh ``disk_entries``/``disk_bytes``."""
         if self.store is not None:
             entries = self.store.entry_count()
             size = self.store.byte_count()

@@ -95,10 +95,10 @@ def _run_chunk(
 
     Each outcome is ``{"schedule": ...}`` or ``{"error": ...}`` — one failing
     job must not poison the other jobs of its chunk (or of the batch).
-    ``structures`` is the chunk's shared base-problem table for overlay jobs
-    (one entry per distinct structure digest, factored out of the payloads by
-    :func:`run_jobs_on` so a chunk of N same-structure probes ships — and
-    compiles — its base problem once).
+    ``structures`` is the chunk's shared parent-problem table for probe jobs
+    (one entry per distinct parent content digest, factored out of the
+    payloads by :func:`run_jobs_on` so a chunk of N probes of one parent
+    ships — and compiles — that parent once).
 
     When the submitting side was tracing, ``traceparent`` carries its trace
     position into the worker: the chunk runs under a local tracer continuing
@@ -249,43 +249,25 @@ def run_jobs_on(
     done = 0
     pending = {}
     for chunk in chunks:
-        # factor the base problems of overlay jobs into one structure table
-        # per chunk: N same-structure probes ship one base document, and the
-        # worker's kernel memo compiles it once for the whole chunk
+        # factor the parent problems of probe jobs into one structure table
+        # per chunk, keyed by the parent's full content digest: N probes of
+        # one parent ship one parent document (and one parent schedule per
+        # algorithm), and the worker's kernel memo compiles it once
         structures: Dict[str, Any] = {}
         stripped: List[Dict[str, Any]] = []
         for payload in chunk:
             base = payload.get("base_problem")
             if base is not None:
-                # structural payloads name their factoring key explicitly (the
-                # *parent* digest — their own structure half describes the
-                # edited problem); overlay payloads factor on their own half
-                structure_digest = payload.get("base_structure_digest")
-                if structure_digest is None:
-                    digest_pair = payload.get("split_digests") or []
-                    structure_digest = str(digest_pair[0]) if digest_pair else None
-                else:
-                    structure_digest = str(structure_digest)
-                if structure_digest is not None:
-                    structures.setdefault(structure_digest, base)
-                    payload = {
-                        key: value
-                        for key, value in payload.items()
-                        if key != "base_problem"
-                    }
-            warm = payload.get("warm_start")
-            base_digest = payload.get("base_structure_digest")
-            if (
-                isinstance(warm, dict)
-                and isinstance(warm.get("schedule"), dict)
-                and base_digest
-            ):
-                # every probe of a structural generation carries the same
-                # parent schedule: ship it once per chunk, referenced by key
-                schedule = warm["schedule"]
-                key = f"warm:{base_digest}:{schedule.get('algorithm', '')}"
-                structures.setdefault(key, schedule)
-                payload = {**payload, "warm_start": {**warm, "schedule": key}}
+                base_digest = payload["base_digest"]
+                structures.setdefault(base_digest, base)
+                payload = {
+                    key: value for key, value in payload.items() if key != "base_problem"
+                }
+                warm = payload.get("warm_start")
+                if isinstance(warm, dict):
+                    key = f"warm:{base_digest}:{warm.get('algorithm', '')}"
+                    structures.setdefault(key, warm)
+                    payload["warm_start"] = key
             stripped.append(payload)
         future = pool.submit(_run_chunk, stripped, structures or None, traceparent)
         pending[future] = [payload["index"] for payload in stripped]

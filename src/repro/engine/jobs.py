@@ -36,10 +36,10 @@ that function in the worker (see :meth:`AnalysisJob.from_payload`) is what
 makes runtime-registered plug-in algorithms work under the ``spawn``
 multiprocessing start method, where workers do not inherit the parent's
 registry: only import-time registrations would otherwise be visible.
-Overlay jobs ship their *base problem once per chunk* (the executor factors
-it into a side table) plus a small per-job delta; workers memoize the
-compiled kernel per structure digest, so a chunk of N same-structure probes
-compiles the structure once, not N times.
+Probe jobs ship their *parent problem once per chunk* (the executor factors
+it into a side table) plus a small per-job delta record; workers memoize the
+compiled parent per full content digest, so a chunk of N probes of one
+parent compiles that parent once, not N times.
 """
 
 from __future__ import annotations
@@ -53,14 +53,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..core import (
-    AnalysisProblem,
-    CompiledProblem,
-    OverlayProblem,
-    PatchedProblem,
-    Schedule,
-    WarmStart,
-)
+from ..core import AnalysisProblem, CompiledProblem, OverlayProblem, Schedule
 from ..core.analyzer import analyze, get_algorithm, register_algorithm
 from ..errors import AnalysisError, EngineError
 from ..model import graph_to_dict, mapping_to_dict
@@ -191,12 +184,28 @@ def _split_canonical(problem: AnalysisProblem) -> Tuple[Dict[str, Any], Dict[str
     return canonical, params
 
 
-def _kernel_structure_digest(kernel: CompiledProblem) -> str:
-    """Structure digest of a compiled kernel (computed once, cached on it)."""
-    if kernel._structure_digest is None:
-        structure, _params = _split_canonical(kernel.problem)
-        kernel._structure_digest = _digest_payload(structure, kernel.problem.name)
-    return kernel._structure_digest
+def _kernel_digests(kernel: CompiledProblem) -> Tuple[str, str]:
+    """(structure, parameters) digests of a kernel's own problem.
+
+    Both halves come from one canonical rendering and are cached on the
+    kernel, so probes of it never re-walk the graph.
+    """
+    if kernel._digests is None:
+        structure, params = _split_canonical(kernel.problem)
+        name = kernel.problem.name
+        kernel._digests = (_digest_payload(structure, name), _digest_payload(params, name))
+    return kernel._digests
+
+
+def _kernel_digest(kernel: CompiledProblem) -> str:
+    """Full content digest of a kernel's own problem.
+
+    The key of everything a worker shares between probes of one parent: the
+    kernel memo, the chunk structure table and the factored warm-start
+    schedules.  The structure half alone is not enough — two parents with
+    one different WCET share it, and their probes must not share a kernel.
+    """
+    return _combine_digests(*_kernel_digests(kernel))
 
 
 def _overlay_params_digest(probe: OverlayProblem) -> str:
@@ -241,7 +250,7 @@ def split_problem_digests(
     identically and therefore share cache entries.
     """
     if isinstance(problem, OverlayProblem):
-        return _kernel_structure_digest(problem.kernel), _overlay_params_digest(problem)
+        return _kernel_digests(problem.kernel)[0], _overlay_params_digest(problem)
     structure, params = _split_canonical(problem)
     return (
         _digest_payload(structure, problem.name),
@@ -249,66 +258,38 @@ def split_problem_digests(
     )
 
 
-#: worker-side memo of compiled kernels keyed by structure digest: a chunk of
-#: same-structure overlay jobs compiles the base problem once, not per job
+#: worker-side memo of compiled parent kernels keyed by full content digest:
+#: a chunk of probes of one parent compiles that parent once, not per job
 _KERNEL_MEMO: "OrderedDict[str, CompiledProblem]" = OrderedDict()
 _KERNEL_MEMO_LIMIT = 32
 _KERNEL_MEMO_LOCK = threading.Lock()
 
 
-def _memo_insert_locked(structure_digest: str, kernel: CompiledProblem) -> None:
-    """Insert into the kernel memo and evict past the bound (lock held)."""
-    _KERNEL_MEMO[structure_digest] = kernel
-    _KERNEL_MEMO.move_to_end(structure_digest)
-    while len(_KERNEL_MEMO) > _KERNEL_MEMO_LIMIT:
-        _KERNEL_MEMO.popitem(last=False)
-
-
-def _kernel_memo_get(structure_digest: Optional[str]) -> Optional[CompiledProblem]:
-    """Memoized kernel for ``structure_digest``, or None."""
-    if structure_digest is None:
-        return None
+def _kernel_memo_get(digest: str) -> Optional[CompiledProblem]:
+    """Memoized kernel for ``digest``, or None."""
     with _KERNEL_MEMO_LOCK:
-        kernel = _KERNEL_MEMO.get(structure_digest)
+        kernel = _KERNEL_MEMO.get(digest)
         if kernel is not None:
-            _KERNEL_MEMO.move_to_end(structure_digest)
+            _KERNEL_MEMO.move_to_end(digest)
         return kernel
 
 
-def _kernel_memo_put(structure_digest: str, kernel: CompiledProblem) -> None:
-    """Seed the kernel memo (bounded LRU) with an already-compiled kernel.
+def _kernel_memo_put(digest: str, kernel: CompiledProblem) -> CompiledProblem:
+    """Insert into the bounded LRU memo; returns the kernel now memoized.
 
-    Called parent-side when an overlay payload is built: thread-pool workers
+    Called parent-side when a probe payload is built: thread-pool workers
     share this process and hit the memo directly, and ``fork`` workers
-    inherit it — in both cases the base problem is never compiled (or even
+    inherit it — in both cases the parent problem is never compiled (or even
     re-parsed) a second time.  Only ``spawn`` workers, which share nothing,
-    compile their own copy once per structure.
+    compile their own copy once per parent.  A kernel already memoized under
+    ``digest`` wins (another thread may have won the compile race).
     """
     with _KERNEL_MEMO_LOCK:
-        _memo_insert_locked(structure_digest, kernel)
-
-
-def _kernel_for_structure(
-    structure_digest: Optional[str], base_problem: AnalysisProblem
-) -> CompiledProblem:
-    """Compiled kernel for ``base_problem``, memoized per structure digest.
-
-    Shared by every thread of a thread-backend runtime and by every job of a
-    process worker's lifetime; bounded so a long-lived worker crunching many
-    distinct structures cannot grow without limit.
-    """
-    kernel = _kernel_memo_get(structure_digest)
-    if kernel is not None:
+        kernel = _KERNEL_MEMO.setdefault(digest, kernel)
+        _KERNEL_MEMO.move_to_end(digest)
+        while len(_KERNEL_MEMO) > _KERNEL_MEMO_LIMIT:
+            _KERNEL_MEMO.popitem(last=False)
         return kernel
-    kernel = CompiledProblem.compile(base_problem)
-    if structure_digest is None:
-        return kernel
-    with _KERNEL_MEMO_LOCK:
-        existing = _KERNEL_MEMO.get(structure_digest)
-        if existing is not None:
-            return existing  # another thread won the compile race
-        _memo_insert_locked(structure_digest, kernel)
-    return kernel
 
 
 #: trial-pickle verdicts per live function object (a batch re-checks each
@@ -362,30 +343,21 @@ def problem_digest(problem: Union[AnalysisProblem, OverlayProblem]) -> str:
     return _combine_digests(*split_problem_digests(problem))
 
 
-def _warm_start_from_payload(
-    warm_data: Any,
-    base_digest: Optional[str],
-    structures: Optional[Mapping[str, Any]],
-) -> Optional[WarmStart]:
-    """Rebuild a structural job's warm-start bundle from its payload.
+def _warm_schedule_from_payload(
+    warm_data: Any, structures: Optional[Mapping[str, Any]]
+) -> Optional[Schedule]:
+    """The parent schedule a probe job warm-starts from, if it has one.
 
     The executor may have factored the (chunk-wide) parent schedule out of
-    the payload into the structure table under a ``warm:`` key; a string
-    ``schedule`` entry is that reference.  A missing or unresolvable bundle
-    degrades to ``None`` — the job then runs cold, which is always correct.
+    the payload into the structure table under a ``warm:`` key; a string is
+    that reference.  A missing or unresolvable schedule degrades to ``None``
+    — the job then runs cold, which is always correct.
     """
+    if isinstance(warm_data, str):
+        warm_data = structures.get(warm_data) if structures is not None else None
     if not isinstance(warm_data, Mapping):
         return None
-    sched_data = warm_data.get("schedule")
-    if isinstance(sched_data, str):
-        sched_data = structures.get(sched_data) if structures is not None else None
-    if not isinstance(sched_data, Mapping):
-        return None
-    return WarmStart(
-        schedule=Schedule.from_dict(sched_data),
-        dirty=frozenset(int(index) for index in warm_data.get("dirty", ())),
-        first_affected_time=warm_data.get("first_affected_time"),
-    )
+    return Schedule.from_dict(warm_data)
 
 
 def _rebuild_problem(problem_data: Mapping[str, Any], arbiter: Any) -> AnalysisProblem:
@@ -479,24 +451,17 @@ class AnalysisJob:
         ``spawn``), which keeps the engine's built-in ``cached-*`` wrappers
         working unchanged.
 
-        An overlay job ships its *base* problem under ``base_problem`` plus
-        the small parameter delta under ``overlay``; the executor factors the
-        base out into a per-chunk structure table (see
-        :func:`repro.engine.executor.run_jobs_on`) so N same-structure probes
-        pay for one base payload, and the worker memoizes the compiled kernel
-        per structure digest.
-
-        A structural-delta job (a :class:`~repro.core.kernel.PatchedProblem`)
-        ships its *parent* problem under ``base_problem``, the edit under
-        ``structure_delta`` and the parent's structure digest under
-        ``base_structure_digest`` — the factoring key, since the job's own
-        ``split_digests[0]`` describes the *edited* structure.  The parent's
-        warm-start bundle (parent schedule + dirty set + divergence bound)
-        rides along under ``warm_start`` so workers resume instead of
-        re-analyzing from scratch; both the parent kernel and the patched
-        child kernel are seeded into the same-process memo.
+        A probe job (an :class:`~repro.core.kernel.OverlayProblem`, whatever
+        its delta) ships its *parent* problem under ``base_problem``, the
+        parent's full content digest under ``base_digest``, its delta record
+        under ``delta`` and — when it carries a warm start — the parent
+        schedule under ``warm_start``.  The executor factors the parent and
+        its schedule out into a per-chunk structure table keyed by
+        ``base_digest`` (see :func:`repro.engine.executor.run_jobs_on`), so
+        N probes of one parent pay for one parent payload, and the worker
+        memoizes the compiled parent under the same key.
         """
-        from ..io.json_io import overlay_to_dict, problem_to_dict, structure_delta_to_dict
+        from ..io.json_io import delta_to_dict, problem_to_dict
 
         payload: Dict[str, Any] = {
             "index": self.index,
@@ -504,38 +469,22 @@ class AnalysisJob:
             "split_digests": list(self.split_digests),
             "algorithm_function": _portable_algorithm(self.algorithm),
         }
-        if isinstance(self.problem, PatchedProblem):
-            parent = self.problem.parent
-            base = parent.problem
-            base_digest = _kernel_structure_digest(parent)
-            payload["base_problem"] = problem_to_dict(base)
-            payload["base_structure_digest"] = base_digest
-            payload["structure_delta"] = structure_delta_to_dict(
-                self.problem.delta, name=self.problem.name
-            )
-            payload["arbiter"] = base.arbiter
-            warm = self.problem.warm
-            if warm is not None:
-                payload["warm_start"] = {
-                    "schedule": warm.schedule.to_dict(),
-                    "dirty": sorted(warm.dirty),
-                    "first_affected_time": warm.first_affected_time,
-                }
-            # same-process workers reuse both live kernels: the parent for
-            # sibling probes of the same generation, the child for this job
-            _kernel_memo_put(base_digest, parent)
-            _kernel_memo_put(self.structure_digest, self.problem.kernel)
-        elif isinstance(self.problem, OverlayProblem):
-            base = self.problem.kernel.problem
-            payload["base_problem"] = problem_to_dict(base)
-            payload["overlay"] = overlay_to_dict(self.problem)
-            payload["arbiter"] = base.arbiter
+        problem = self.problem
+        if isinstance(problem, OverlayProblem):
+            parent = problem.parent
+            base_digest = _kernel_digest(parent)
+            payload["base_problem"] = problem_to_dict(parent.problem)
+            payload["base_digest"] = base_digest
+            payload["delta"] = delta_to_dict(problem)
+            payload["arbiter"] = parent.problem.arbiter
+            if problem.warm is not None:
+                payload["warm_start"] = problem.warm.schedule.to_dict()
             # same-process workers (thread pools, fork children) reuse the
-            # live kernel instead of re-parsing and recompiling the base
-            _kernel_memo_put(self.structure_digest, self.problem.kernel)
+            # live parent kernel instead of re-parsing and recompiling it
+            _kernel_memo_put(base_digest, parent)
         else:
-            payload["problem"] = problem_to_dict(self.problem)
-            payload["arbiter"] = self.problem.arbiter
+            payload["problem"] = problem_to_dict(problem)
+            payload["arbiter"] = problem.arbiter
         return payload
 
     @classmethod
@@ -546,13 +495,12 @@ class AnalysisJob:
     ) -> "AnalysisJob":
         """Rebuild a job from :meth:`to_payload` output (in a worker process).
 
-        ``structures`` is the chunk's structure table: base-problem documents
-        keyed by structure digest (and factored warm-start schedules keyed by
-        ``warm:``-prefixed entries), referenced by overlay and structural
-        payloads whose own ``base_problem`` entry was factored out by the
-        executor.
+        ``structures`` is the chunk's structure table: parent-problem
+        documents keyed by content digest (and factored parent schedules
+        under ``warm:``-prefixed keys), referenced by probe payloads whose
+        own ``base_problem`` entry was factored out by the executor.
         """
-        from ..io.json_io import overlay_from_dict, structure_delta_from_dict
+        from ..io.json_io import delta_from_dict
 
         try:
             function = payload.get("algorithm_function")
@@ -566,59 +514,29 @@ class AnalysisJob:
                 if isinstance(split, (list, tuple)) and len(split) == 2
                 else None
             )
-            delta_data = payload.get("structure_delta")
+            delta_data = payload.get("delta")
             if delta_data is not None:
-                base_digest = payload.get("base_structure_digest")
-                base_digest = None if base_digest is None else str(base_digest)
+                # memo first: a chunk of probes of one parent parses and
+                # compiles the parent once, not once per job
+                base_digest = str(payload["base_digest"])
                 parent = _kernel_memo_get(base_digest)
                 if parent is None:
                     problem_data = payload.get("base_problem")
-                    if problem_data is None and structures is not None and base_digest:
+                    if problem_data is None and structures is not None:
                         problem_data = structures.get(base_digest)
                     if problem_data is None:
                         raise EngineError(
-                            "structural job payload carries no base problem and "
-                            "no matching chunk structure entry"
-                        )
-                    base = _rebuild_problem(problem_data, payload.get("arbiter"))
-                    parent = _kernel_for_structure(base_digest, base)
-                delta, probe_name = structure_delta_from_dict(delta_data)
-                warm = _warm_start_from_payload(
-                    payload.get("warm_start"), base_digest, structures
-                )
-                child = _kernel_memo_get(split_pair[0] if split_pair else None)
-                problem: Union[AnalysisProblem, OverlayProblem] = PatchedProblem(
-                    parent, delta, name=probe_name, kernel=child, warm=warm
-                )
-                if child is None and split_pair:
-                    # sibling probes carrying the same edit reuse this compile
-                    _kernel_memo_put(split_pair[0], problem.kernel)
-                return cls(
-                    problem=problem,
-                    algorithm=str(payload["algorithm"]),
-                    index=int(payload["index"]),
-                    _split=split_pair,
-                )
-            overlay_data = payload.get("overlay")
-            if overlay_data is not None:
-                # memo first: a chunk of same-structure probes parses and
-                # compiles its base problem once, not once per job
-                kernel = _kernel_memo_get(split_pair[0] if split_pair else None)
-                if kernel is None:
-                    problem_data = payload.get("base_problem")
-                    if problem_data is None and structures is not None and split_pair:
-                        problem_data = structures.get(split_pair[0])
-                    if problem_data is None:
-                        raise EngineError(
-                            "overlay job payload carries no base problem and no "
+                            "probe job payload carries no base problem and no "
                             "matching chunk structure entry"
                         )
                     base = _rebuild_problem(problem_data, payload.get("arbiter"))
-                    kernel = _kernel_for_structure(
-                        split_pair[0] if split_pair else None, base
-                    )
-                problem: Union[AnalysisProblem, OverlayProblem] = overlay_from_dict(
-                    overlay_data, kernel
+                    parent = _kernel_memo_put(base_digest, CompiledProblem.compile(base))
+                problem: Union[AnalysisProblem, OverlayProblem] = delta_from_dict(
+                    delta_data,
+                    parent,
+                    parent_schedule=_warm_schedule_from_payload(
+                        payload.get("warm_start"), structures
+                    ),
                 )
             else:
                 problem = _rebuild_problem(payload["problem"], payload.get("arbiter"))

@@ -1,38 +1,30 @@
-"""Persistent cache stores behind :class:`~repro.engine.ResultCache`.
+"""Persistent cache store behind :class:`~repro.engine.ResultCache`.
 
-The cache's disk tier is a pluggable :class:`CacheStore` with two
-implementations:
+The cache's disk tier is :class:`SqliteStore`: one WAL-mode SQLite database
+holding every entry as a row keyed by the full cache key **and** the split
+digests ``(structure, overlay)``.  Batched :meth:`~SqliteStore.get_many` /
+:meth:`~SqliteStore.put_many` run as **one transaction per batch**, an index
+on the structure half makes "drop every overlay entry of this structure" a
+single ``DELETE``, and size budgets (``max_entries`` / ``max_bytes``) evict
+least-recently-accessed rows inside the put transaction.  Corrupt rows are
+quarantined into a ``quarantine`` table and read as misses.
 
-* :class:`SqliteStore` — the production backend: one WAL-mode SQLite database
-  holding every entry as a row keyed by the full cache key **and** the PR 5
-  split digests ``(structure, overlay)``.  Batched :meth:`~CacheStore.get_many`
-  / :meth:`~CacheStore.put_many` run as **one transaction per batch** (the
-  JSON layout pays one ``open``/``read``/``parse`` syscall round per key), an
-  index on the structure half makes "drop every overlay entry of this
-  structure" a single ``DELETE``, and size budgets (``max_entries`` /
-  ``max_bytes``) evict least-recently-accessed rows inside the put
-  transaction.  Corrupt rows are quarantined into a ``quarantine`` table with
-  the same read-as-a-miss semantics as the JSON store's ``.corrupt`` rename.
-* :class:`JsonDirStore` — the original one-JSON-file-per-entry layout,
-  kept as a fully supported fallback (zero-dependency inspection with any
-  text editor, trivially rsync-able) and as the migration source.
-
-:func:`open_store` selects the implementation from the cache path:
+:func:`open_store` resolves a cache path:
 
 ========================  =====================================================
 ``sqlite:///path/to.db``  SQLite database at that path
-``json://path/to/dir``    JSON directory store at that path
 ``path/to/file.sqlite``   SQLite database (``.sqlite`` / ``.sqlite3`` / ``.db``)
-``path/to/dir``           directory: the default backend (``REPRO_CACHE_STORE``
-                          env var, ``sqlite`` unless set to ``json``) — SQLite
-                          keeps its database at ``dir/cache.sqlite`` and
-                          one-shot-migrates any pre-existing JSON entry files
+``path/to/dir``           SQLite database at ``dir/cache.sqlite``; the first
+                          open one-shot-migrates any legacy JSON entry files
+                          found in ``dir``
 ========================  =====================================================
 
-so ``cache_dir`` arguments everywhere stay backward-compatible: pointing a new
-build at an old JSON cache directory transparently ingests the old entries.
+Legacy caches were one JSON file per entry; :func:`migrate_json_dir` reads
+them, both for that one-shot migration and for ``repro-rta cache migrate``,
+so pointing a new build at an old cache directory transparently ingests the
+old entries.
 
-Every store shares one :class:`~repro.engine.cache.CacheStats` object with its
+The store shares one :class:`~repro.engine.cache.CacheStats` object with its
 owning cache and feeds the ``corrupt`` / ``evictions`` / ``transactions``
 counters, so ``/stats`` and ``/metrics`` report storage behaviour without a
 second bookkeeping layer.
@@ -40,27 +32,21 @@ second bookkeeping layer.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import marshal
-import os
 import sqlite3
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import Schedule
 from ..errors import CacheError, ValidationError
 
 __all__ = [
-    "STORE_BACKEND_ENV",
     "SQLITE_SCHEMA_VERSION",
     "RECORD_FORMAT",
-    "CacheStore",
-    "JsonDirStore",
     "SqliteStore",
     "open_store",
     "migrate_json_dir",
@@ -68,11 +54,8 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: environment variable selecting the default backend for directory paths
-STORE_BACKEND_ENV = "REPRO_CACHE_STORE"
-
 #: bump when the SQLite layout changes — an old database is then rebuilt
-#: (entries dropped) instead of misread, mirroring the JSON SCHEMA_VERSION rule
+#: (entries dropped) instead of misread, mirroring the digest SCHEMA_VERSION rule
 SQLITE_SCHEMA_VERSION = 1
 
 #: serialization tag of the SQLite ``record`` column.  Records are stored as
@@ -87,13 +70,11 @@ RECORD_FORMAT = "marshal:%d.%d:%d" % (
     marshal.version,
 )
 
-#: database filename used when a *directory* selects the SQLite backend
+#: database filename used when the cache path is a *directory*
 SQLITE_DB_NAME = "cache.sqlite"
 
+#: envelope format of a legacy JSON entry file (read by migrate_json_dir)
 _ENTRY_FORMAT = "repro-cache-entry"
-
-#: suffix appended to quarantined (corrupt) JSON entry files
-_CORRUPT_SUFFIX = ".corrupt"
 
 _HEX_DIGITS = set("0123456789abcdef")
 
@@ -102,7 +83,7 @@ _SCHEDULE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ValidationE
 
 
 def _is_entry_name(stem: str) -> bool:
-    """True for the SHA-256 hex stems the JSON store itself writes."""
+    """True for the SHA-256 hex stems of legacy JSON entry files."""
     return len(stem) == 64 and set(stem) <= _HEX_DIGITS
 
 
@@ -131,398 +112,7 @@ def _loads_record(blob: object) -> object:
         return None
 
 
-class CacheStore:
-    """Persistent key → schedule-record store (the cache's disk tier).
-
-    Implementations share one contract: :meth:`get_many` validates every entry
-    it returns (corrupt ones are quarantined, counted in the shared stats and
-    reported as misses), :meth:`put_many` is atomic per entry (a concurrent
-    reader never sees a half-written record), and both are safe under
-    multi-process sharing of the same path.
-
-    ``stats`` is the owning cache's :class:`~repro.engine.cache.CacheStats`;
-    stores feed its ``corrupt``, ``evictions`` and ``transactions`` counters
-    (``transactions`` counts storage round trips: one per batch on SQLite, one
-    per file touched on the JSON layout — the telemetry behind the "a warm
-    batch of K cached jobs costs O(1) transactions, not O(K)" property).
-    """
-
-    #: implementation tag (``"sqlite"`` / ``"json"``) surfaced in telemetry
-    kind: str = "abstract"
-
-    def __init__(self, stats: Optional[object] = None) -> None:
-        from .cache import CacheStats  # cycle-free: cache imports this module lazily
-
-        self.stats = stats if stats is not None else CacheStats()
-        self._lock = threading.Lock()
-
-    # -- counters ------------------------------------------------------
-
-    def _count(self, *, transactions: int = 0, corrupt: int = 0, evictions: int = 0) -> None:
-        with self._lock:
-            self.stats.transactions += transactions
-            self.stats.corrupt += corrupt
-            self.stats.evictions += evictions
-
-    # -- interface -----------------------------------------------------
-
-    def get_many(
-        self, keys: Sequence[str]
-    ) -> Dict[str, Tuple[Dict[str, object], Schedule]]:
-        """Validated ``{key: (record, schedule)}`` for every present key.
-
-        Absent keys are simply missing from the result; corrupt entries are
-        quarantined, counted, and also missing (the caller books the miss).
-        """
-        raise NotImplementedError
-
-    def fetch_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, object]]:
-        """Raw ``{key: record}`` without schedule reconstruction.
-
-        The storage primitive under :meth:`get_many`: retrieves stored
-        records and validates them at the storage level (unparsable JSON and
-        foreign envelopes are quarantined and read as misses) but does not
-        rebuild :class:`Schedule` objects.  Migration and replication tooling
-        work at this level, and it is what a store's lookup throughput
-        measures — schedule decoding costs the same on every backend.
-        """
-        raise NotImplementedError
-
-    def put_many(
-        self,
-        items: Sequence[Tuple[str, Dict[str, object], Optional[Tuple[str, str]]]],
-    ) -> None:
-        """Store ``(key, record, split_digests)`` entries; atomic per entry.
-
-        ``split_digests`` is the job's ``(structure, overlay)`` digest pair
-        when the caller knows it (the SQLite backend indexes the structure
-        half for :meth:`drop_structure`); ``None`` degrades gracefully.
-        """
-        raise NotImplementedError
-
-    def contains(self, key: str) -> bool:
-        raise NotImplementedError
-
-    def keys(self) -> List[str]:
-        """Every stored key (test/diagnostic helper; O(n))."""
-        raise NotImplementedError
-
-    def drop_structure(self, structure_digest: str) -> int:
-        """Delete every entry of one structure digest; returns the count."""
-        raise NotImplementedError
-
-    def prune(
-        self, *, max_entries: Optional[int] = None, max_bytes: Optional[int] = None
-    ) -> int:
-        """Evict least-recently-accessed entries past the budgets; returns count."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Delete every entry — including quarantined ones."""
-        raise NotImplementedError
-
-    def entry_count(self) -> int:
-        raise NotImplementedError
-
-    def byte_count(self) -> int:
-        """Stored payload bytes (JSON: file bytes; SQLite: record blob bytes)."""
-        raise NotImplementedError
-
-    def quarantine_count(self) -> int:
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-
-class JsonDirStore(CacheStore):
-    """One JSON file per entry under ``path`` (the original disk layout).
-
-    Entry files are named by the SHA-256 of the cache key, so the store can
-    share a directory with user files without ever touching them.  Corrupt
-    entries — truncated JSON left by a killed process, foreign envelopes,
-    malformed schedules — are renamed aside with a ``.corrupt`` suffix on
-    first sight and read as misses.
-
-    Batched calls degrade to per-file I/O (``transactions`` counts one per
-    file touched): this layout exists for inspectability and migration, not
-    for production lookup throughput — see :class:`SqliteStore`.
-    """
-
-    kind = "json"
-
-    #: how long a sampled ``byte_count``/``entry_count`` stays fresh: sizing
-    #: the JSON tier means a full directory scan, so telemetry snapshots
-    #: re-sample lazily instead of walking the directory per /stats call
-    SIZE_SAMPLE_SECONDS = 5.0
-
-    def __init__(self, path: PathLike, stats: Optional[object] = None) -> None:
-        super().__init__(stats)
-        self.path = Path(path).expanduser()
-        try:
-            self.path.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CacheError(f"cannot create cache directory {self.path}: {exc}") from exc
-        self._sampled_at = 0.0
-        self._sampled_sizes: Tuple[int, int] = (0, 0)  # (entries, bytes)
-
-    # -- internals -----------------------------------------------------
-
-    def _entry_path(self, key: str) -> Path:
-        filename = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.path / f"{filename}.json"
-
-    def _read_record(self, key: str) -> Optional[Tuple[Dict[str, object], str]]:
-        """Envelope-validated ``(record, raw text)`` for ``key``, or None.
-
-        Storage-level corruption — unparsable JSON, a foreign envelope, a
-        non-record payload — quarantines the entry and reads as a miss.  The
-        raw text rides along so callers doing deeper validation can hand it
-        to :meth:`_mark_corrupt` for the rewrite check.
-        """
-        entry = self._entry_path(key)
-        try:
-            text = entry.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None  # unreadable (permissions, I/O): a miss, but not corrupt
-        self._count(transactions=1)
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError:
-            # truncated/garbled entry, e.g. left by a killed process: without
-            # quarantine it would shadow the digest and surface again on every
-            # later lookup — move it aside, count it, and report a miss
-            self._mark_corrupt(entry, text)
-            return None
-        if (
-            not isinstance(document, dict)
-            or document.get("format") != _ENTRY_FORMAT
-            or document.get("key") != key
-            or not isinstance(document.get("schedule"), dict)
-        ):
-            self._mark_corrupt(entry, text)
-            return None
-        return document["schedule"], text
-
-    def _read_one(self, key: str) -> Optional[Tuple[Dict[str, object], Schedule]]:
-        """Validated (record, schedule) for ``key``, or None on a miss.
-
-        Corruption of any kind — storage-level or a malformed schedule —
-        quarantines the entry and reads as a miss.
-        """
-        loaded = self._read_record(key)
-        if loaded is None:
-            return None
-        record, text = loaded
-        # a tampered entry can carry a malformed schedule even when the
-        # envelope validates; checked here, while the raw text is still in
-        # hand, so quarantining can verify the file was not rewritten since
-        schedule = _decode_schedule(record)
-        if schedule is None:
-            self._mark_corrupt(self._entry_path(key), text)
-            return None
-        return record, schedule
-
-    def _mark_corrupt(self, entry: Path, observed: str) -> None:
-        """Quarantine a corrupt entry file and count it in the statistics.
-
-        ``observed`` is the raw text judged corrupt.  Another process sharing
-        the store may have atomically rewritten the entry (recompute + put)
-        between our read and now, so the file is re-read and left alone if its
-        content changed — quarantining it then would evict a healthy entry.
-        """
-        self._count(corrupt=1)
-        try:
-            if entry.read_text(encoding="utf-8") != observed:
-                return  # concurrently replaced; the new entry may be healthy
-        except OSError:
-            return  # gone or unreadable: nothing left to quarantine
-        try:
-            os.replace(entry, entry.with_name(entry.name + _CORRUPT_SUFFIX))
-        except OSError:
-            try:
-                entry.unlink()
-            except OSError:
-                pass  # read-only store: the entry stays, but the miss already counted
-
-    def _entries(self) -> List[Path]:
-        return [
-            entry for entry in self.path.glob("*.json") if _is_entry_name(entry.stem)
-        ]
-
-    # -- interface -----------------------------------------------------
-
-    def get_many(
-        self, keys: Sequence[str]
-    ) -> Dict[str, Tuple[Dict[str, object], Schedule]]:
-        results: Dict[str, Tuple[Dict[str, object], Schedule]] = {}
-        for key in keys:
-            loaded = self._read_one(key)
-            if loaded is not None:
-                results[key] = loaded
-        return results
-
-    def fetch_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, object]]:
-        results: Dict[str, Dict[str, object]] = {}
-        for key in keys:
-            loaded = self._read_record(key)
-            if loaded is not None:
-                results[key] = loaded[0]
-        return results
-
-    def put_many(
-        self,
-        items: Sequence[Tuple[str, Dict[str, object], Optional[Tuple[str, str]]]],
-    ) -> None:
-        for key, record, split in items:
-            document: Dict[str, object] = {
-                "format": _ENTRY_FORMAT,
-                "key": key,
-                "schedule": record,
-            }
-            if split is not None:
-                # recorded for migration fidelity and offline tooling; the
-                # envelope validator ignores unknown keys, so old readers of a
-                # shared directory keep working
-                document["structure"], document["overlay"] = split
-            entry = self._entry_path(key)
-            # atomic replace so concurrent readers never see a half-written entry
-            try:
-                handle = tempfile.NamedTemporaryFile(
-                    mode="w",
-                    encoding="utf-8",
-                    dir=str(self.path),
-                    prefix=entry.stem,
-                    suffix=".tmp",
-                    delete=False,
-                )
-                with handle:
-                    json.dump(document, handle)
-                os.replace(handle.name, entry)
-            except OSError as exc:
-                raise CacheError(f"cannot write cache entry {entry}: {exc}") from exc
-            self._count(transactions=1)
-
-    def contains(self, key: str) -> bool:
-        return self._entry_path(key).exists()
-
-    def keys(self) -> List[str]:
-        keys: List[str] = []
-        for entry in self._entries():
-            try:
-                document = json.loads(entry.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(document, dict) and isinstance(document.get("key"), str):
-                keys.append(document["key"])
-        return keys
-
-    def drop_structure(self, structure_digest: str) -> int:
-        """O(n) on this layout: every envelope must be opened and checked."""
-        dropped = 0
-        for entry in self._entries():
-            try:
-                document = json.loads(entry.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            if (
-                isinstance(document, dict)
-                and document.get("structure") == structure_digest
-            ):
-                try:
-                    entry.unlink()
-                    dropped += 1
-                except OSError:
-                    pass
-        self._count(evictions=dropped)
-        return dropped
-
-    def prune(
-        self, *, max_entries: Optional[int] = None, max_bytes: Optional[int] = None
-    ) -> int:
-        """LRU-by-mtime eviction down to the budgets (atime is unreliable)."""
-        if max_entries is None and max_bytes is None:
-            return 0
-        records = []
-        total_bytes = 0
-        for entry in self._entries():
-            try:
-                stat = entry.stat()
-            except OSError:
-                continue
-            records.append((stat.st_mtime, stat.st_size, entry))
-            total_bytes += stat.st_size
-        records.sort()  # oldest first
-        evicted = 0
-        remaining = len(records)
-        for mtime, size, entry in records:
-            over_entries = max_entries is not None and remaining > max_entries
-            over_bytes = max_bytes is not None and total_bytes > max_bytes
-            if not (over_entries or over_bytes):
-                break
-            try:
-                entry.unlink()
-            except OSError:
-                continue
-            remaining -= 1
-            total_bytes -= size
-            evicted += 1
-        self._count(evictions=evicted)
-        self._sampled_at = 0.0
-        return evicted
-
-    def clear(self) -> None:
-        """Delete this store's own entries (and quarantined ones) only.
-
-        Only files that look like cache entries (64-hex-char SHA-256 stem) are
-        deleted, so pointing the cache at a directory that also holds user
-        JSON files never destroys them.
-        """
-        for entry in list(self.path.glob("*.json")) + list(
-            self.path.glob(f"*.json{_CORRUPT_SUFFIX}")
-        ):
-            stem = entry.name.split(".", 1)[0]
-            if not _is_entry_name(stem):
-                continue
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-        self._sampled_at = 0.0
-
-    def _sample_sizes(self) -> Tuple[int, int]:
-        now = time.monotonic()
-        if now - self._sampled_at < self.SIZE_SAMPLE_SECONDS:
-            return self._sampled_sizes
-        entries = 0
-        total = 0
-        for entry in self._entries():
-            try:
-                total += entry.stat().st_size
-            except OSError:
-                continue
-            entries += 1
-        self._sampled_at = now
-        self._sampled_sizes = (entries, total)
-        return self._sampled_sizes
-
-    def entry_count(self) -> int:
-        return self._sample_sizes()[0]
-
-    def byte_count(self) -> int:
-        return self._sample_sizes()[1]
-
-    def quarantine_count(self) -> int:
-        return sum(
-            1
-            for entry in self.path.glob(f"*.json{_CORRUPT_SUFFIX}")
-            if _is_entry_name(entry.name.split(".", 1)[0])
-        )
-
-
-class SqliteStore(CacheStore):
+class SqliteStore:
     """Concurrency-safe SQLite entry store (the production disk tier).
 
     * **WAL mode** — readers never block the (single) writer and vice versa,
@@ -547,12 +137,15 @@ class SqliteStore(CacheStore):
       least-recently-accessed order inside the put transaction, so the store
       never leaves a put over budget.
     * **Quarantine** — a row whose record fails blob or schedule validation
-      moves to the ``quarantine`` table (same read-as-a-miss + heal-on-put
-      semantics as the JSON store's ``.corrupt`` rename); :meth:`clear`
-      drops quarantined rows too.
-    """
+      moves to the ``quarantine`` table, is counted in ``stats.corrupt`` and
+      reads as a miss; a later put heals the key.  :meth:`clear` drops
+      quarantined rows too.
 
-    kind = "sqlite"
+    ``stats`` is the owning cache's :class:`~repro.engine.cache.CacheStats`;
+    the store feeds its ``corrupt``, ``evictions`` and ``transactions``
+    counters.  One instance is safe to share across threads, and any number
+    of processes may open the same database file.
+    """
 
     #: bounded retry loop on writer collisions (on top of busy_timeout)
     BUSY_RETRIES = 5
@@ -567,7 +160,10 @@ class SqliteStore(CacheStore):
         max_bytes: Optional[int] = None,
         busy_timeout: float = 30.0,
     ) -> None:
-        super().__init__(stats)
+        from .cache import CacheStats  # cycle-free: cache imports this module
+
+        self.stats = stats if stats is not None else CacheStats()
+        self._lock = threading.Lock()
         if max_entries is not None and max_entries < 1:
             raise CacheError(f"max_entries must be >= 1, got {max_entries}")
         if max_bytes is not None and max_bytes < 1:
@@ -590,6 +186,12 @@ class SqliteStore(CacheStore):
         except sqlite3.Error as exc:
             raise CacheError(f"cannot initialize cache database {self.path}: {exc}") from exc
 
+    def _count(self, *, transactions: int = 0, corrupt: int = 0, evictions: int = 0) -> None:
+        with self._lock:
+            self.stats.transactions += transactions
+            self.stats.corrupt += corrupt
+            self.stats.evictions += evictions
+
     # -- schema --------------------------------------------------------
 
     def _initialize(self) -> None:
@@ -600,7 +202,7 @@ class SqliteStore(CacheStore):
             (version,) = cursor.execute("PRAGMA user_version").fetchone()
             if version not in (0, SQLITE_SCHEMA_VERSION):
                 # an incompatible layout: rebuild rather than misread (the
-                # same contract as the JSON SCHEMA_VERSION digest guard)
+                # same contract as the digest SCHEMA_VERSION guard)
                 cursor.execute("DROP TABLE IF EXISTS entries")
                 cursor.execute("DROP TABLE IF EXISTS quarantine")
                 cursor.execute("DROP TABLE IF EXISTS meta")
@@ -676,7 +278,7 @@ class SqliteStore(CacheStore):
             f"cache database stayed locked after {self.BUSY_RETRIES} retries: {last_error}"
         )
 
-    # -- interface -----------------------------------------------------
+    # -- lookups and stores ---------------------------------------------
 
     def _select_rows(self, keys: List[str]) -> List[Tuple[str, bytes]]:
         """One ``(key, record-blob)`` select transaction over ``keys``."""
@@ -716,6 +318,11 @@ class SqliteStore(CacheStore):
     def get_many(
         self, keys: Sequence[str]
     ) -> Dict[str, Tuple[Dict[str, object], Schedule]]:
+        """Validated ``{key: (record, schedule)}`` for every present key.
+
+        Absent keys are simply missing from the result; corrupt entries are
+        quarantined, counted, and also missing (the caller books the miss).
+        """
         keys = list(dict.fromkeys(keys))
         if not keys:
             return {}
@@ -736,6 +343,13 @@ class SqliteStore(CacheStore):
         return results
 
     def fetch_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, object]]:
+        """Raw ``{key: record}`` without schedule reconstruction.
+
+        The storage primitive under :meth:`get_many`: unreadable blobs are
+        quarantined and read as misses, but no :class:`Schedule` is rebuilt.
+        It is what the store's lookup throughput measures — schedule decoding
+        costs the same whatever the storage.
+        """
         keys = list(dict.fromkeys(keys))
         if not keys:
             return {}
@@ -780,6 +394,12 @@ class SqliteStore(CacheStore):
         self,
         items: Sequence[Tuple[str, Dict[str, object], Optional[Tuple[str, str]]]],
     ) -> None:
+        """Store ``(key, record, split_digests)`` entries in one transaction.
+
+        ``split_digests`` is the job's ``(structure, overlay)`` digest pair
+        when the caller knows it (indexed for :meth:`drop_structure`);
+        ``None`` degrades gracefully.
+        """
         if not items:
             return
         now = time.time()
@@ -881,6 +501,8 @@ class SqliteStore(CacheStore):
         return evicted
 
     def clear(self) -> None:
+        """Delete every entry — including quarantined ones."""
+
         def wipe(cursor: sqlite3.Cursor) -> None:
             cursor.execute("DELETE FROM entries")
             cursor.execute("DELETE FROM quarantine")
@@ -917,11 +539,10 @@ class SqliteStore(CacheStore):
     def auto_migrate_json_dir(self, directory: PathLike) -> int:
         """One-shot ingestion of a legacy JSON cache directory.
 
-        Called when a *directory* cache path selects the SQLite backend: the
-        first open against an old JSON cache pulls every valid entry file into
-        the database, then records the fact in the ``meta`` table so later
-        opens skip the scan.  The JSON files are left untouched (they remain
-        valid for a ``json://`` fallback or an rsync to another machine).
+        Called when the cache path is a *directory*: the first open against
+        an old JSON cache pulls every valid entry file into the database,
+        then records the fact in the ``meta`` table so later opens skip the
+        scan.  The JSON files are left untouched.
         """
 
         def already(cursor: sqlite3.Cursor) -> bool:
@@ -955,7 +576,7 @@ class SqliteStore(CacheStore):
 
 def migrate_json_dir(
     directory: PathLike,
-    store: CacheStore,
+    store: SqliteStore,
     *,
     batch_size: int = 512,
     progress: Optional[Callable[[int, int], None]] = None,
@@ -1011,46 +632,31 @@ def migrate_json_dir(
     return migrated
 
 
-def _default_backend() -> str:
-    backend = (os.environ.get(STORE_BACKEND_ENV) or "sqlite").strip().lower()
-    if backend not in ("sqlite", "json"):
-        raise CacheError(
-            f"unknown {STORE_BACKEND_ENV}={backend!r}; choose 'sqlite' or 'json'"
-        )
-    return backend
-
-
 def open_store(
     path: PathLike,
     stats: Optional[object] = None,
     *,
     max_entries: Optional[int] = None,
     max_bytes: Optional[int] = None,
-) -> CacheStore:
-    """Open the right :class:`CacheStore` for ``path`` (see module docs).
+) -> SqliteStore:
+    """Open the :class:`SqliteStore` for a cache path (see module docs).
 
-    ``sqlite://`` / ``json://`` URL prefixes force a backend; a ``.sqlite`` /
-    ``.sqlite3`` / ``.db`` suffix selects SQLite at that file; any other path
-    is a cache *directory* whose backend comes from the ``REPRO_CACHE_STORE``
-    environment variable (default ``sqlite``, database at
-    ``dir/cache.sqlite``, with a one-shot migration of legacy JSON entries).
-    ``max_entries`` / ``max_bytes`` size budgets apply to the SQLite backend
-    (the JSON store only prunes on demand).
+    A ``sqlite://`` prefix or a ``.sqlite`` / ``.sqlite3`` / ``.db`` suffix
+    names the database file itself; any other path is a cache *directory*
+    holding ``cache.sqlite``, with a one-shot migration of legacy JSON
+    entries found there.  ``max_entries`` / ``max_bytes`` are the store's
+    size budgets.
     """
     spec = str(path)
     if spec.startswith("sqlite://"):
         return SqliteStore(
             spec[len("sqlite://") :], stats, max_entries=max_entries, max_bytes=max_bytes
         )
-    if spec.startswith("json://"):
-        return JsonDirStore(spec[len("json://") :], stats)
     resolved = Path(spec).expanduser()
     if resolved.suffix.lower() in (".sqlite", ".sqlite3", ".db"):
         return SqliteStore(
             resolved, stats, max_entries=max_entries, max_bytes=max_bytes
         )
-    if _default_backend() == "json":
-        return JsonDirStore(resolved, stats)
     try:
         resolved.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

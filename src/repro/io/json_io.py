@@ -52,7 +52,9 @@ __all__ = [
     "overlay_from_dict",
     "structure_delta_to_dict",
     "structure_delta_from_dict",
-    "patched_from_dict",
+    "delta_to_dict",
+    "delta_from_dict",
+    "is_structure_delta",
     "save_problem",
     "load_problem",
     "save_schedule",
@@ -149,9 +151,9 @@ def problem_from_dict(data: Dict[str, Any]) -> AnalysisProblem:
 def overlay_to_dict(probe: OverlayProblem) -> Dict[str, Any]:
     """Serialize the *delta* of an overlay probe (not its base problem).
 
-    The wire form of the delta re-analysis path: a batch of same-structure
-    probes ships one ``repro-problem`` base document plus one of these small
-    records per probe.  ``wcet``/``accesses`` are full per-task vectors in the
+    One of the two delta record kinds (see :func:`delta_to_dict`): a batch
+    of probes ships one ``repro-problem`` parent document plus one small
+    record per probe.  ``wcet``/``accesses`` are full per-task vectors in the
     base graph's task order (``null`` = keep the base vector); the horizon is
     a tri-state (``has_horizon=false`` keeps the base problem's).
     """
@@ -222,10 +224,9 @@ def structure_delta_to_dict(
 ) -> Dict[str, Any]:
     """Serialize a structural delta (one edit against a base problem).
 
-    The wire form of the structural re-analysis path: a batch of same-parent
-    probes ships one ``repro-problem`` base document plus one of these records
-    per probe.  Only the fields the delta's ``kind`` uses are emitted;
-    ``name`` labels the probe (the patched problem's name).
+    The other delta record kind (see :func:`delta_to_dict`).  Only the
+    fields the delta's ``kind`` uses are emitted; ``name`` labels the probe
+    (the patched problem's name).
     """
     record: Dict[str, Any] = {
         "format": _STRUCTURE_DELTA_FORMAT,
@@ -342,24 +343,48 @@ def structure_delta_from_dict(
     return delta, None if name is None else str(name)
 
 
-def patched_from_dict(
+def delta_to_dict(probe: OverlayProblem) -> Dict[str, Any]:
+    """Wire record of a probe's delta against its parent kernel.
+
+    A parameter probe becomes a ``repro-overlay`` record, a structural probe
+    a ``repro-structure-delta`` record; :func:`delta_from_dict` reads either.
+    """
+    if probe.delta is None:
+        return overlay_to_dict(probe)
+    return structure_delta_to_dict(probe.delta, name=probe.name)
+
+
+def is_structure_delta(record: Any) -> bool:
+    """True for a ``repro-structure-delta`` record (its probe can warm-start)."""
+    return isinstance(record, dict) and record.get("format") == _STRUCTURE_DELTA_FORMAT
+
+
+def delta_from_dict(
     data: Dict[str, Any],
     parent: CompiledProblem,
     *,
     parent_schedule: Optional[Schedule] = None,
-) -> PatchedProblem:
-    """Deserialize a structure-delta record into a patched problem.
+) -> OverlayProblem:
+    """Probe for a delta record against the already-compiled ``parent``.
 
-    The structural counterpart of :func:`overlay_from_dict`: the record's
-    delta is applied to the already-compiled ``parent`` kernel (sharing its
-    untouched tables), and ``parent_schedule`` — when given — warm-starts the
-    analyzers from the parent's solution.
+    Dispatches on the record's ``format``: a ``repro-overlay`` record binds
+    its parameter vectors to ``parent``; a ``repro-structure-delta`` record
+    patches ``parent`` (sharing its untouched tables) and, when
+    ``parent_schedule`` is given, warm-starts the analyzers from the
+    parent's solution.  Parameter probes ignore ``parent_schedule``.
 
-    :raises SerializationError: for wire-format problems;
-        model/mapping/platform errors from applying the delta propagate as-is.
+    :raises SerializationError: for wire-format problems; model, mapping and
+        platform errors from applying a structural edit propagate as-is.
     """
-    delta, name = structure_delta_from_dict(data)
-    return PatchedProblem(parent, delta, name=name, parent_schedule=parent_schedule)
+    if is_structure_delta(data):
+        delta, name = structure_delta_from_dict(data)
+        return PatchedProblem(parent, delta, name=name, parent_schedule=parent_schedule)
+    if isinstance(data, dict) and data.get("format") == _OVERLAY_FORMAT:
+        return overlay_from_dict(data, parent)
+    found = data.get("format") if isinstance(data, dict) else type(data).__name__
+    raise SerializationError(
+        f"not a {_OVERLAY_FORMAT} or {_STRUCTURE_DELTA_FORMAT} record (format={found!r})"
+    )
 
 
 def save_problem(problem: AnalysisProblem, path: PathLike) -> Path:

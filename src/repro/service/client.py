@@ -28,9 +28,9 @@ import urllib.request
 from typing import Any, Dict, Iterable, List, Optional
 
 from .. import obs
-from ..core import AnalysisProblem, OverlayProblem, PatchedProblem, Schedule
+from ..core import AnalysisProblem, OverlayProblem, Schedule
 from ..errors import BatchExecutionError, SerializationError, ServiceError
-from ..io.json_io import overlay_to_dict, problem_to_dict, structure_delta_to_dict
+from ..io.json_io import delta_to_dict, problem_to_dict
 
 __all__ = ["ServiceClient"]
 
@@ -232,84 +232,42 @@ class ServiceClient:
             document["algorithm"] = algorithm
         return self._batch_request(document, len(problems))
 
-    def analyze_many_overlays(
+    def analyze_many_deltas(
         self,
         probes: Iterable[OverlayProblem],
         *,
         algorithm: Optional[str] = None,
         priority: int = 0,
     ) -> List[Schedule]:
-        """Analyse many same-structure overlay probes as one delta batch.
+        """Analyse many probes of one parent kernel as one delta batch.
 
-        Every probe must share one compiled kernel (one base problem): the
-        request ships the base as a single ``repro-problem`` document plus one
-        small ``repro-overlay`` delta per probe, instead of N full problem
-        payloads — the wire format the cluster dispatcher uses to fan
-        sensitivity-search generations across a fleet.  Results, ordering and
-        the partial-failure contract match :meth:`analyze_many` exactly.
-
-        :raises ServiceError: on an empty probe list, probes that do not share
-            one kernel, transport failures or error responses.
-        :raises BatchExecutionError: when some overlays failed on the server.
-        """
-        probes = list(probes)
-        if not probes:
-            raise ServiceError("analyze_many_overlays needs at least one probe")
-        kernel = probes[0].kernel
-        if any(probe.kernel is not kernel for probe in probes[1:]):
-            raise ServiceError(
-                "every probe of a delta batch must share one compiled kernel"
-            )
-        document: Dict[str, Any] = {
-            "problem": problem_to_dict(kernel.problem),
-            "overlays": [overlay_to_dict(probe) for probe in probes],
-            "priority": priority,
-        }
-        if algorithm is not None:
-            document["algorithm"] = algorithm
-        return self._batch_request(document, len(probes))
-
-    def analyze_many_structures(
-        self,
-        probes: Iterable[PatchedProblem],
-        *,
-        algorithm: Optional[str] = None,
-        priority: int = 0,
-    ) -> List[Schedule]:
-        """Analyse many same-parent structural probes as one structural batch.
-
-        Every probe must be a :class:`~repro.core.PatchedProblem` sharing one
-        parent kernel: the request ships the parent as a single
-        ``repro-problem`` document plus one small ``repro-structure-delta``
-        record per probe.  The server compiles the parent once, analyses it
-        first (coalesced with any in-flight submission of the same content)
-        and runs every probe warm-started from its *own* parent schedule —
-        warm bundles never cross the wire, so a client cannot poison remote
+        Every probe must share one parent kernel: the request ships the
+        parent as a single ``repro-problem`` document plus one small delta
+        record per probe (:func:`repro.io.delta_to_dict` — parameter and
+        structural probes mix freely), instead of N full problem payloads.
+        This is the wire format the cluster dispatcher uses to fan probe
+        generations across a fleet.  The server compiles the parent once and
+        warm-starts structural probes from its *own* parent schedule — warm
+        starts never cross the wire, so a client cannot poison remote
         verdicts.  Results, ordering and the partial-failure contract match
         :meth:`analyze_many` exactly.
 
-        :raises ServiceError: on an empty probe list, probes that do not
-            share one parent kernel, transport failures or error responses.
+        :raises ServiceError: on an empty probe list, a non-probe, probes that
+            do not share one parent kernel, transport failures or error
+            responses.
         :raises BatchExecutionError: when some probes failed on the server.
         """
         probes = list(probes)
         if not probes:
-            raise ServiceError("analyze_many_structures needs at least one probe")
-        if any(not isinstance(probe, PatchedProblem) for probe in probes):
-            raise ServiceError(
-                "analyze_many_structures takes PatchedProblem probes only"
-            )
+            raise ServiceError("analyze_many_deltas needs at least one probe")
+        if any(not isinstance(probe, OverlayProblem) for probe in probes):
+            raise ServiceError("analyze_many_deltas takes probes (OverlayProblem) only")
         parent = probes[0].parent
         if any(probe.parent is not parent for probe in probes[1:]):
-            raise ServiceError(
-                "every probe of a structural batch must share one parent kernel"
-            )
+            raise ServiceError("every probe of a delta batch must share one parent kernel")
         document: Dict[str, Any] = {
             "problem": problem_to_dict(parent.problem),
-            "structure_deltas": [
-                structure_delta_to_dict(probe.delta, name=probe.name)
-                for probe in probes
-            ],
+            "deltas": [delta_to_dict(probe) for probe in probes],
             "priority": priority,
         }
         if algorithm is not None:

@@ -33,28 +33,21 @@ Routing and fault tolerance
 
 Delta batching
 --------------
-Jobs whose problem is an :class:`~repro.core.OverlayProblem` (a compiled
-kernel plus a parameter delta — how the sensitivity searches build their
-probe generations) are grouped by structure digest and shipped as *delta
-sub-batches*: one ``POST /batch`` request carrying the base ``repro-problem``
-document once plus one small ``repro-overlay`` record per probe, instead of
-N full problem payloads.  The receiving server compiles the base into a
-kernel once and analyses every overlay against it.  Groups are chunked to at
-most ``delta_batch`` probes per request so a large same-structure generation
-still spreads across the fleet; each sub-batch occupies one in-flight slot
-and fails over as a unit.  Plain jobs keep the historical one-job-per-
-``POST /analyze`` path.
-
-Jobs whose problem is a :class:`~repro.core.PatchedProblem` (a parent kernel
-plus a *structure* edit — how structural what-if generations are built) are
-grouped by parent-kernel identity instead and shipped as *structural
-sub-batches*: one ``POST /batch`` request carrying the parent
-``repro-problem`` document once plus one ``repro-structure-delta`` record per
-probe.  The receiving server compiles the parent once, analyses it first and
-warm-starts every probe from its own parent schedule (warm bundles never
-cross the wire).  The same unit-level failover applies, and a 4xx rejection
-of the request itself — a pre-structural-wire server — falls back to one
-``POST /analyze`` per probe with the patched problem materialized.
+Jobs whose problem is a probe — an :class:`~repro.core.OverlayProblem`: a
+parent kernel plus one parameter or structural delta, which is how the
+sensitivity searches and structural what-ifs build their generations — are
+grouped by parent kernel and shipped as *delta sub-batches*: one
+``POST /batch`` request carrying the parent ``repro-problem`` document once
+plus one small delta record per probe, instead of N full problem payloads.
+The receiving server compiles the parent once, analyses every probe against
+it and warm-starts structural probes from its own parent schedule (warm
+starts never cross the wire).  Groups are chunked to at most
+``delta_batch`` probes per request so a large generation still spreads
+across the fleet; each sub-batch occupies one in-flight slot and fails over
+as a unit.  A 4xx rejection of the request itself — a server that predates
+the ``deltas`` form — falls back to one ``POST /analyze`` per probe with the
+probe materialized.  Plain jobs keep the one-job-per-``POST /analyze``
+path.
 
 Wire-format limits
 ------------------
@@ -84,7 +77,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..arbiter import create_arbiter
-from ..core import AnalysisProblem, OverlayProblem, PatchedProblem, Schedule
+from ..core import AnalysisProblem, OverlayProblem, Schedule
 from ..engine.executor import ProgressCallback, ProgressEvent, _summarize
 from ..engine.jobs import AnalysisJob, _arbiter_signature
 from ..errors import BatchExecutionError, ServiceError
@@ -219,9 +212,9 @@ class ClusterDispatcher:
     :param timeout: per-request timeout (seconds) of the underlying clients.
     :param probe_timeout: timeout for ``/healthz``/``/stats`` probes.
     :param latency_smoothing: EWMA factor applied to observed round trips.
-    :param delta_batch: probes per delta sub-batch when same-structure
-        overlay jobs are shipped as one request (see *Delta batching* above);
-        larger values amortize the base-problem payload harder, smaller
+    :param delta_batch: probes per delta sub-batch when probe jobs of one
+        parent are shipped as one request (see *Delta batching* above);
+        larger values amortize the parent-problem payload harder, smaller
         values spread a generation across more endpoints.
     :param client_factory: test hook — builds the per-endpoint clients; must
         accept ``(base_url, timeout=...)`` like :class:`ServiceClient`.
@@ -508,20 +501,19 @@ class ClusterDispatcher:
     def _dispatch_delta(
         self, jobs: Sequence[AnalysisJob]
     ) -> Tuple[List[Optional[Schedule]], Dict[int, str]]:
-        """Run one same-structure overlay sub-batch as a single delta request.
+        """Run one same-parent probe sub-batch as a single delta request.
 
         The whole sub-batch occupies one endpoint slot and fails over as a
         unit on endpoint errors (re-running a probe on another server is
-        bit-identical, so a retried unit cannot diverge).  Server-side *job*
-        errors come back through the batch partial-failure contract and are
-        returned per local position — never retried.  A 4xx rejection of the
-        *request itself* (e.g. a pre-delta-wire server that does not know the
-        ``overlays`` batch form) falls back to one ``POST /analyze`` per
-        probe, which every server version speaks.
+        bit-identical — the server recomputes any parent schedule wherever
+        the unit lands — so a retried unit cannot diverge).  Server-side
+        *job* errors come back through the batch partial-failure contract and
+        are returned per local position — never retried.  A 4xx rejection of
+        the *request itself* (e.g. a server that does not know the
+        ``deltas`` batch form) falls back to one ``POST /analyze`` per probe,
+        which every server version speaks.
         """
-        base = jobs[0].problem
-        assert isinstance(base, OverlayProblem)
-        wire_error = _arbiter_wire_error(base.kernel.problem)
+        wire_error = _arbiter_wire_error(jobs[0].problem.parent.problem)
         if wire_error is not None:
             raise _JobError(wire_error)
         probes = [job.problem for job in jobs]
@@ -532,9 +524,7 @@ class ClusterDispatcher:
             endpoint = self._select()
             started = time.monotonic()
             try:
-                schedules = endpoint.client.analyze_many_overlays(
-                    probes, algorithm=algorithm
-                )
+                schedules = endpoint.client.analyze_many_deltas(probes, algorithm=algorithm)
             except BatchExecutionError as exc:
                 # per-probe failures on the server: a job-error outcome — but
                 # the HTTP exchange itself succeeded (and carried the other
@@ -565,66 +555,13 @@ class ClusterDispatcher:
             f"gave up after {self.retries + 1} endpoint attempt(s): {last_error}"
         )
 
-    def _dispatch_structure(
-        self, jobs: Sequence[AnalysisJob]
-    ) -> Tuple[List[Optional[Schedule]], Dict[int, str]]:
-        """Run one same-parent structural sub-batch as a single request.
-
-        Mirrors :meth:`_dispatch_delta`: the unit occupies one endpoint slot,
-        fails over as a unit on endpoint errors (the server recomputes the
-        parent schedule wherever the unit lands, so a retried unit stays
-        bit-identical), reports server-side per-probe failures per local
-        position, and falls back to per-job ``POST /analyze`` dispatch — with
-        each patched problem materialized into a full document — when the
-        request itself is rejected by a server that predates the structural
-        wire form.
-        """
-        base = jobs[0].problem
-        assert isinstance(base, PatchedProblem)
-        wire_error = _arbiter_wire_error(base.parent.problem)
-        if wire_error is not None:
-            raise _JobError(wire_error)
-        probes = [job.problem for job in jobs]
-        algorithm = jobs[0].algorithm
-        attempts = self.retries + 1
-        last_error: Optional[ServiceError] = None
-        while attempts > 0:
-            endpoint = self._select()
-            started = time.monotonic()
-            try:
-                schedules = endpoint.client.analyze_many_structures(
-                    probes, algorithm=algorithm
-                )
-            except BatchExecutionError as exc:
-                self._release(endpoint, ok=True, latency=time.monotonic() - started)
-                return (
-                    list(exc.results),
-                    {int(index): str(message) for index, message in exc.failures.items()},
-                )
-            except ServiceError as exc:
-                self._release(endpoint, ok=False)
-                if not _is_endpoint_error(exc):
-                    return self._dispatch_unit_per_job(jobs)
-                self._quarantine(endpoint)
-                last_error = exc
-                attempts -= 1
-                continue
-            except Exception as exc:  # noqa: BLE001 - a malformed response, not an outage
-                self._release(endpoint, ok=False)
-                raise _JobError(f"{type(exc).__name__}: {exc}") from exc
-            self._release(endpoint, ok=True, latency=time.monotonic() - started)
-            return list(schedules), {}
-        raise _JobError(
-            f"gave up after {self.retries + 1} endpoint attempt(s): {last_error}"
-        )
-
     def _dispatch_unit_per_job(
         self, jobs: Sequence[AnalysisJob]
     ) -> Tuple[List[Optional[Schedule]], Dict[int, str]]:
-        """Per-job fallback for a delta unit (overlay probes as full problems).
+        """Per-job fallback for a delta unit (probes as full problems).
 
         ``POST /analyze`` ships each probe as an ordinary ``repro-problem``
-        document (the overlay materializes into the payload), so this path
+        document (the probe materializes into the payload), so this path
         works against servers of every version — at N-requests cost.
         """
         results: List[Optional[Schedule]] = []
@@ -640,39 +577,32 @@ class ClusterDispatcher:
     def _dispatch_unit(
         self, jobs: Sequence[AnalysisJob]
     ) -> Tuple[List[Optional[Schedule]], Dict[int, str]]:
-        """Run one work unit: a structural or delta sub-batch, or a plain job."""
+        """Run one work unit: a delta sub-batch or a plain job."""
         with obs.span("cluster.unit", jobs=len(jobs)):
-            if isinstance(jobs[0].problem, PatchedProblem):
-                return self._dispatch_structure(jobs)
-            if len(jobs) == 1 and not isinstance(jobs[0].problem, OverlayProblem):
-                return [self._dispatch_one(jobs[0])], {}
-            return self._dispatch_delta(jobs)
+            if isinstance(jobs[0].problem, OverlayProblem):
+                return self._dispatch_delta(jobs)
+            return [self._dispatch_one(jobs[0])], {}
 
     def _plan_units(self, jobs: Sequence[AnalysisJob]) -> List[List[int]]:
         """Partition a batch into dispatch units (lists of batch positions).
 
-        Plain jobs dispatch one-per-request; overlay jobs are grouped by
-        (shared kernel, algorithm) in first-seen order and chunked to at
-        most ``delta_batch`` probes per unit so one large same-structure
-        generation still fans out across the fleet.  Structural jobs group
-        by (shared *parent* kernel, algorithm) the same way — their own
-        (patched) kernels are all distinct, but siblings of one parent share
-        the parent document and the server-side parent schedule.
+        Plain jobs dispatch one-per-request; probe jobs are grouped by
+        (parent kernel, algorithm) in first-seen order and chunked to at
+        most ``delta_batch`` probes per unit so one large generation still
+        fans out across the fleet.  Parameter and structural probes of one
+        parent share a unit: they share the parent document and the
+        server-side parent schedule.
         """
         units: List[List[int]] = []
-        groups: Dict[Tuple[str, int, str], List[int]] = {}
+        groups: Dict[Tuple[int, str], List[int]] = {}
         for position, job in enumerate(jobs):
-            if isinstance(job.problem, PatchedProblem):
-                groups.setdefault(
-                    ("structure", id(job.problem.parent), job.algorithm), []
-                ).append(position)
-            elif isinstance(job.problem, OverlayProblem):
-                # keyed by kernel *identity*: digest-equal kernels compiled
+            if isinstance(job.problem, OverlayProblem):
+                # keyed by parent *identity*: digest-equal parents compiled
                 # separately stay in separate units, so every unit's probes
-                # share one kernel object (what the delta wire form ships)
-                groups.setdefault(
-                    ("overlay", id(job.problem.kernel), job.algorithm), []
-                ).append(position)
+                # share one parent object (what the delta wire form ships)
+                groups.setdefault((id(job.problem.parent), job.algorithm), []).append(
+                    position
+                )
             else:
                 units.append([position])
         for positions in groups.values():
@@ -692,9 +622,9 @@ class ClusterDispatcher:
         Results come back in submission order and are bit-identical to local
         analysis.  ``chunksize`` is accepted for interface compatibility and
         ignored (remote dispatch is per-unit; the *server* batches its
-        queue).  Plain jobs dispatch one request each; same-structure overlay
-        jobs ship as delta sub-batches (base problem once + per-probe
-        deltas) of at most ``delta_batch`` probes.
+        queue).  Plain jobs dispatch one request each; probe jobs of one
+        parent ship as delta sub-batches (parent problem once + per-probe
+        delta records) of at most ``delta_batch`` probes.
 
         :raises BatchExecutionError: when some jobs failed (bad algorithm,
             analysis error, or retries exhausted) — completed schedules are

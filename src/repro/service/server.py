@@ -22,19 +22,18 @@ Endpoints
     ``failures`` map for jobs that raised (``schedules`` holds ``null`` at
     failed positions, in submission order — the engine's partial-failure
     contract over HTTP).  The *delta* form —
-    ``{"problem": <repro-problem>, "overlays": [<repro-overlay>...]}`` —
-    ships one base problem plus per-probe parameter deltas instead of N full
-    problem documents: the server compiles the base into a problem kernel
-    once and analyses every overlay against it (the wire format behind the
-    cluster dispatcher's same-structure batching).  The *structural-delta*
-    form — ``{"problem": <repro-problem>, "structure_deltas":
-    [<repro-structure-delta>...]}`` — ships one parent problem plus per-probe
-    structure edits (add/remove task or edge, remap): the server compiles the
-    parent once, analyses it first (queue-coalesced, so repeat parents are
-    free), and runs every probe as a warm-started patched kernel sharing the
-    parent's untouched rows.  Warm-start bundles are always computed
-    server-side from the server's own parent schedule; clients cannot supply
-    one (a poisoned schedule could alter verdicts).
+    ``{"problem": <repro-problem>, "deltas": [<record>...]}`` — ships one
+    parent problem plus one small record per probe instead of N full problem
+    documents; each record is a ``repro-overlay`` parameter delta or a
+    ``repro-structure-delta`` edit (add/remove task or edge, remap), mixed
+    freely.  The server compiles the parent into a problem kernel once and
+    analyses every probe against it (the wire format behind the cluster
+    dispatcher's delta sub-batches).  When a structural record is present
+    the server first analyses the parent (queue-coalesced, so repeat parents
+    are free) and warm-starts the structural probes from that schedule.
+    Warm starts are always computed server-side from the server's own parent
+    schedule; clients cannot supply one (a poisoned schedule could alter
+    verdicts).
 ``POST /search``
     ``{"problem": ..., "kind": "memory"|"wcet"|"horizon", "max_factor"?,
     "tolerance"?, "speculation"?, "horizon"?, "algorithm"?}`` → the same
@@ -69,19 +68,13 @@ from ..analysis.schedulability import minimal_horizon
 from ..analysis.search import SearchDriver
 from ..analysis.sensitivity import memory_sensitivity, wcet_sensitivity
 from ..core.analyzer import INCREMENTAL
-from ..core.kernel import (
-    ParamOverlay,
-    PatchedProblem,
-    compile_problem,
-    compute_warm_start,
-    patch_problem,
-)
+from ..core.kernel import ParamOverlay, compile_problem
 from ..errors import QueueFullError, ReproError, SerializationError, ServiceError
 from ..io.json_io import (
     batch_results_to_dict,
-    overlay_from_dict,
+    delta_from_dict,
+    is_structure_delta,
     problem_from_dict,
-    structure_delta_from_dict,
 )
 from .metrics import METRICS_CONTENT_TYPE, render_prometheus_metrics
 from .queue import JobQueue
@@ -342,16 +335,16 @@ class AnalysisServer:
         algorithm = document.get("algorithm")
         algorithm = None if algorithm is None else str(algorithm)
         priority = int(document.get("priority", 0))
-        if "overlays" in document and "structure_deltas" in document:
-            raise _BadRequest(
-                "'overlays' and 'structure_deltas' are mutually exclusive batch forms"
-            )
-        if "structure_deltas" in document:
-            problems = self._parse_structural_batch(
+        for retired in ("overlays", "structure_deltas"):
+            if retired in document:
+                raise _BadRequest(
+                    f"the {retired!r} batch form is gone: send every delta record "
+                    "in one 'deltas' list next to the 'problem'"
+                )
+        if "deltas" in document:
+            problems = self._parse_delta_batch(
                 document, algorithm=algorithm, priority=priority
             )
-        elif "overlays" in document:
-            problems = self._parse_overlay_batch(document)
         else:
             records = document.get("problems")
             if not isinstance(records, list) or not records:
@@ -390,101 +383,59 @@ class AnalysisServer:
         response["failures"] = failures
         return 200, response
 
-    @staticmethod
-    def _parse_overlay_batch(document: Dict[str, Any]) -> List[Any]:
-        """Delta-form batch: one base problem + N parameter overlays.
-
-        The base is compiled into a :class:`~repro.core.CompiledProblem` once;
-        every overlay becomes an :class:`~repro.core.OverlayProblem` probe
-        against it, so a same-structure batch walks the graph structure a
-        single time however many variants it carries.
-        """
-        records = document.get("overlays")
-        if not isinstance(records, list) or not records:
-            raise _BadRequest("request body must carry a non-empty 'overlays' list")
-        base = _parse_problem(document)
-        kernel = compile_problem(base)
-        probes = []
-        for position, record in enumerate(records):
-            if not isinstance(record, dict):
-                raise _BadRequest(f"overlays[{position}] is not an object")
-            try:
-                probes.append(overlay_from_dict(record, kernel))
-            except SerializationError as exc:
-                raise _BadRequest(f"overlays[{position}]: {exc}") from exc
-        return probes
-
-    def _parse_structural_batch(
+    def _parse_delta_batch(
         self,
         document: Dict[str, Any],
         *,
         algorithm: Optional[str],
         priority: int,
     ) -> List[Any]:
-        """Structural-delta batch: one parent problem + N structure edits.
+        """Delta-form batch: one parent problem + N delta records.
 
-        The parent compiles into one kernel and is analysed first — through
+        The parent compiles into one kernel, so a batch walks the parent's
+        structure a single time however many probes it carries.  When a
+        structural record is present the parent is analysed first — through
         the queue, so a repeated parent coalesces onto in-flight work or hits
-        the cache.  Each delta then becomes a warm-started
-        :class:`~repro.core.PatchedProblem` sharing the parent kernel's
-        untouched rows.  The warm bundle always comes from the server's *own*
-        parent schedule, never the client's: a forged schedule could steer a
-        warm resume to a different verdict.  A parent that fails analysis
-        (e.g. unschedulable horizon) degrades the probes to cold runs, which
-        are always correct.
+        the cache — and the structural probes warm-start from that schedule.
+        The warm start always comes from the server's *own* parent schedule,
+        never the client's: a forged schedule could steer a warm resume to a
+        different verdict.  A parent that fails analysis (e.g. unschedulable
+        horizon) degrades the probes to cold runs, which are always correct.
         """
-        records = document.get("structure_deltas")
+        records = document.get("deltas")
         if not isinstance(records, list) or not records:
-            raise _BadRequest(
-                "request body must carry a non-empty 'structure_deltas' list"
-            )
+            raise _BadRequest("request body must carry a non-empty 'deltas' list")
         base = _parse_problem(document)
         kernel = compile_problem(base)
-        deltas = []
         for position, record in enumerate(records):
             if not isinstance(record, dict):
-                raise _BadRequest(f"structure_deltas[{position}] is not an object")
+                raise _BadRequest(f"deltas[{position}] is not an object")
+        parent_schedule = None
+        if any(is_structure_delta(record) for record in records):
             try:
-                deltas.append(structure_delta_from_dict(record))
-            except SerializationError as exc:
-                raise _BadRequest(f"structure_deltas[{position}]: {exc}") from exc
-        try:
-            # submit the parent as a no-op overlay over the compiled kernel:
-            # digests identically to the plain problem (coalesces with prior
-            # work on it) but reuses this compilation instead of a second one
-            parent_schedule = self.queue.submit(
-                kernel.with_overlay(ParamOverlay(), name=base.name),
-                algorithm=algorithm,
-                priority=priority,
-                timeout=self.submit_timeout,
-            ).result()
-        except QueueFullError:
-            raise
-        except Exception:  # noqa: BLE001 - parent failure → probes run cold
-            parent_schedule = None
+                # submit the parent as a no-op overlay over the compiled
+                # kernel: digests identically to the plain problem (coalesces
+                # with prior work on it) but reuses this compilation
+                parent_schedule = self.queue.submit(
+                    kernel.with_overlay(ParamOverlay(), name=base.name),
+                    algorithm=algorithm,
+                    priority=priority,
+                    timeout=self.submit_timeout,
+                ).result()
+            except QueueFullError:
+                raise
+            except Exception:  # noqa: BLE001 - parent failure → probes run cold
+                parent_schedule = None
         probes = []
-        for position, (delta, probe_name) in enumerate(deltas):
+        for position, record in enumerate(records):
             try:
-                child = patch_problem(kernel, delta, name=probe_name)
-                warm = (
-                    None
-                    if parent_schedule is None
-                    else compute_warm_start(kernel, child, delta, parent_schedule)
+                probes.append(
+                    delta_from_dict(record, kernel, parent_schedule=parent_schedule)
                 )
             except ReproError as exc:
-                # the delta parsed but does not apply to *this* problem
-                # (unknown task, duplicate edge...): a client input error
-                raise _BadRequest(f"structure_deltas[{position}]: {exc}") from exc
-            probes.append(
-                PatchedProblem(
-                    kernel,
-                    delta,
-                    name=probe_name,
-                    kernel=child,
-                    warm=warm,
-                    parent_schedule=parent_schedule,
-                )
-            )
+                # a malformed record, or an edit that does not apply to *this*
+                # problem (unknown task, duplicate edge...): a client error
+                raise _BadRequest(f"deltas[{position}]: {exc}") from exc
         return probes
 
     def handle_search(self, document: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:

@@ -21,8 +21,6 @@ def _fill(path, schedule, count, prefix="key"):
 class TestCacheStats:
     def test_reports_entries_and_bytes(self, tmp_path, diamond_problem, capsys):
         schedule = analyze(diamond_problem)
-        # .sqlite suffix pins the backend so the assertion below holds even
-        # when REPRO_CACHE_STORE=json is exported (the CI fallback leg)
         _fill(tmp_path / "cache.sqlite", schedule, 3)
         assert main(["cache", "stats", str(tmp_path / "cache.sqlite")]) == 0
         output = capsys.readouterr().out
@@ -31,19 +29,15 @@ class TestCacheStats:
         assert "bytes" in output
         assert "quarantined" in output
 
-    def test_json_store_reported_too(self, tmp_path, diamond_problem, capsys):
-        schedule = analyze(diamond_problem)
-        _fill(f"json://{tmp_path / 'cache'}", schedule, 2)
-        assert main(["cache", "stats", f"json://{tmp_path / 'cache'}"]) == 0
-        output = capsys.readouterr().out
-        assert "json" in output
-        assert "2" in output
-
 
 class TestCacheMigrate:
-    def test_migrates_with_progress_and_is_idempotent(self, tmp_path, diamond_problem, capsys):
+    def test_migrates_with_progress_and_is_idempotent(
+        self, tmp_path, diamond_problem, capsys, write_legacy_entries
+    ):
         schedule = analyze(diamond_problem)
-        _fill(f"json://{tmp_path / 'legacy'}", schedule, 4)
+        write_legacy_entries(
+            tmp_path / "legacy", schedule, [f"key-{index}" for index in range(4)]
+        )
         database = tmp_path / "cache.sqlite"
         assert main(["cache", "migrate", str(tmp_path / "legacy"), str(database)]) == 0
         captured = capsys.readouterr()

@@ -1,19 +1,18 @@
 """Tests for the two-tier result cache.
 
-The default persistent backend is now SQLite (see ``tests/engine/test_store.py``
-for store-level coverage); the tests below that poke at entry *files* select
-the JSON-directory layout explicitly with a ``json://`` path.
+The persistent tier is the SQLite store (see ``tests/engine/test_store.py``
+for store-level coverage); the corruption tests below damage its rows
+directly and check what the cache makes of them.
 """
 
 from __future__ import annotations
 
-import json
+import marshal
 
 import pytest
 
 from repro import analyze
-from repro.engine import AnalysisJob, JsonDirStore, ResultCache, SqliteStore
-from repro.engine.store import STORE_BACKEND_ENV
+from repro.engine import AnalysisJob, ResultCache, SqliteStore
 from repro.errors import CacheError
 
 
@@ -27,9 +26,24 @@ def schedule(diamond_problem):
     return analyze(diamond_problem)
 
 
-def _json_cache(tmp_path, **kwargs) -> ResultCache:
-    """Cache explicitly on the JSON-directory store at tmp_path/cache."""
-    return ResultCache(path=f"json://{tmp_path / 'cache'}", **kwargs)
+def _disk_cache(tmp_path, **kwargs) -> ResultCache:
+    """Cache on the persistent store at tmp_path/cache."""
+    return ResultCache(path=tmp_path / "cache", **kwargs)
+
+
+def _damage(cache: ResultCache, key: str, blob: bytes) -> None:
+    """Overwrite the stored record blob of ``key``, like a bad disk would."""
+    store = cache.store
+    with store._db_lock:
+        store._db.execute("UPDATE entries SET record = ? WHERE key = ?", (blob, key))
+        store._db.commit()
+
+
+def _broken_schedule_blob(schedule) -> bytes:
+    """A readable record whose schedule is malformed (missing fields)."""
+    record = schedule.to_dict()
+    record["entries"] = [{"name": "broken"}]
+    return marshal.dumps(record)
 
 
 def test_memory_hit_and_miss_counters(job, schedule):
@@ -46,26 +60,17 @@ def test_memory_hit_and_miss_counters(job, schedule):
     assert cache.stats.hit_rate() == 0.5
 
 
-def test_directory_path_defaults_to_sqlite_store(tmp_path, monkeypatch):
-    monkeypatch.delenv(STORE_BACKEND_ENV, raising=False)
+def test_directory_path_defaults_to_sqlite_store(tmp_path):
     cache = ResultCache(path=tmp_path / "cache")
     assert isinstance(cache.store, SqliteStore)
     assert cache.path == tmp_path / "cache" / "cache.sqlite"
 
 
-def test_json_url_selects_json_store(tmp_path):
-    cache = _json_cache(tmp_path)
-    assert isinstance(cache.store, JsonDirStore)
-    assert cache.path == tmp_path / "cache"
-
-
-@pytest.mark.parametrize("layout", ["sqlite", "json"])
-def test_disk_round_trip(tmp_path, job, schedule, layout):
-    path = (tmp_path / "cache") if layout == "sqlite" else f"json://{tmp_path / 'cache'}"
-    warm = ResultCache(path=path)
+def test_disk_round_trip(tmp_path, job, schedule):
+    warm = _disk_cache(tmp_path)
     warm.put(job.cache_key, schedule)
     # a brand-new cache instance (fresh memory tier) must hit on disk
-    cold = ResultCache(path=path)
+    cold = _disk_cache(tmp_path)
     restored = cold.get(job.cache_key)
     assert restored is not None
     assert cold.stats.disk_hits == 1
@@ -136,56 +141,50 @@ def test_put_many_batch_round_trip(tmp_path, schedule):
     assert len(results) == 8
 
 
-def test_malformed_schedule_in_valid_envelope_is_a_miss(tmp_path, job, schedule):
-    """Valid JSON + valid envelope but a broken schedule record must not crash get()."""
-    cache = _json_cache(tmp_path)
+def test_malformed_schedule_in_valid_record_is_a_miss(tmp_path, job, schedule):
+    """A readable record carrying a broken schedule must not crash get()."""
+    cache = _disk_cache(tmp_path)
     cache.put(job.cache_key, schedule)
-    entry = next((tmp_path / "cache").glob("*.json"))
-    document = json.loads(entry.read_text(encoding="utf-8"))
-    document["schedule"]["entries"] = [{"name": "broken"}]  # missing required fields
-    entry.write_text(json.dumps(document), encoding="utf-8")
-    cold = _json_cache(tmp_path)
+    _damage(cache, job.cache_key, _broken_schedule_blob(schedule))
+    cold = _disk_cache(tmp_path)
     assert cold.get(job.cache_key) is None
     assert cold.stats.misses == 1
 
 
 def test_corrupt_disk_entry_is_a_miss(tmp_path, job, schedule):
-    cache = _json_cache(tmp_path)
+    cache = _disk_cache(tmp_path)
     cache.put(job.cache_key, schedule)
-    for entry in (tmp_path / "cache").glob("*.json"):
-        entry.write_text("{ not json", encoding="utf-8")
-    cold = _json_cache(tmp_path)
+    _damage(cache, job.cache_key, b"{ not a record")
+    cold = _disk_cache(tmp_path)
     assert cold.get(job.cache_key) is None
     assert cold.stats.misses == 1
 
 
 def test_truncated_entry_is_quarantined_and_counted(tmp_path, job, schedule):
-    """A half-written entry (killed process) must not shadow the digest forever."""
-    cache = _json_cache(tmp_path)
+    """A half-written entry must not shadow the digest forever."""
+    cache = _disk_cache(tmp_path)
     cache.put(job.cache_key, schedule)
-    entry = next((tmp_path / "cache").glob("*.json"))
-    text = entry.read_text(encoding="utf-8")
-    entry.write_text(text[: len(text) // 2], encoding="utf-8")  # truncate mid-document
-    cold = _json_cache(tmp_path)
+    blob = marshal.dumps(schedule.to_dict())
+    _damage(cache, job.cache_key, blob[: len(blob) // 2])  # truncate mid-record
+    cold = _disk_cache(tmp_path)
     assert cold.get(job.cache_key) is None
     assert cold.stats.corrupt == 1
     assert cold.stats.to_dict()["corrupt"] == 1
-    # the bad file was moved aside ...
-    assert not entry.exists()
-    assert entry.with_name(entry.name + ".corrupt").exists()
+    # the bad row was moved aside ...
+    assert cold.store.quarantine_count() == 1
+    assert not cold.store.contains(job.cache_key)
     # ... so a recompute-and-store round trip fully heals the digest
     cold.put(job.cache_key, schedule)
-    fresh = _json_cache(tmp_path)
+    fresh = _disk_cache(tmp_path)
     assert fresh.get(job.cache_key) is not None
     assert fresh.stats.corrupt == 0
 
 
 def test_corrupt_entry_counted_once_not_per_lookup(tmp_path, job, schedule):
-    cache = _json_cache(tmp_path)
+    cache = _disk_cache(tmp_path)
     cache.put(job.cache_key, schedule)
-    for entry in (tmp_path / "cache").glob("*.json"):
-        entry.write_text("{ not json", encoding="utf-8")
-    cold = _json_cache(tmp_path)
+    _damage(cache, job.cache_key, b"{ not a record")
+    cold = _disk_cache(tmp_path)
     for _ in range(3):
         assert cold.get(job.cache_key) is None
     assert cold.stats.corrupt == 1  # quarantined on first sight
@@ -193,24 +192,21 @@ def test_corrupt_entry_counted_once_not_per_lookup(tmp_path, job, schedule):
 
 
 def test_malformed_schedule_is_quarantined(tmp_path, job, schedule):
-    """A valid envelope carrying a broken schedule is corrupt too."""
-    cache = _json_cache(tmp_path)
+    """A readable record carrying a broken schedule is corrupt too."""
+    cache = _disk_cache(tmp_path)
     cache.put(job.cache_key, schedule)
-    entry = next((tmp_path / "cache").glob("*.json"))
-    document = json.loads(entry.read_text(encoding="utf-8"))
-    document["schedule"]["entries"] = [{"name": "broken"}]
-    entry.write_text(json.dumps(document), encoding="utf-8")
-    cold = _json_cache(tmp_path)
+    _damage(cache, job.cache_key, _broken_schedule_blob(schedule))
+    cold = _disk_cache(tmp_path)
     assert cold.get(job.cache_key) is None
     assert cold.stats.corrupt == 1
-    assert not entry.exists()
+    assert cold.store.quarantine_count() == 1
 
 
 def test_disk_hit_deserializes_the_schedule_once(tmp_path, job, schedule, monkeypatch):
     """The store's validation pass is the deserialization — not a second one."""
     import repro.engine.store as store_module
 
-    warm = _json_cache(tmp_path)
+    warm = _disk_cache(tmp_path)
     warm.put(job.cache_key, schedule)
     calls = []
     real_from_dict = store_module.Schedule.from_dict
@@ -222,55 +218,38 @@ def test_disk_hit_deserializes_the_schedule_once(tmp_path, job, schedule, monkey
             return real_from_dict(record)
 
     monkeypatch.setattr(store_module, "Schedule", CountingSchedule)
-    cold = _json_cache(tmp_path)
+    cold = _disk_cache(tmp_path)
     assert cold.get(job.cache_key) is not None
     assert len(calls) == 1
 
 
 def test_concurrently_rewritten_entry_is_not_quarantined(tmp_path, job, schedule):
     """Quarantine must not evict an entry another process rewrote in the meantime."""
-    cache = _json_cache(tmp_path)
+    cache = _disk_cache(tmp_path)
     cache.put(job.cache_key, schedule)
-    entry = next((tmp_path / "cache").glob("*.json"))
-    # simulate the race: a reader judged some (now stale) content corrupt
-    # after a writer already replaced the file with this healthy entry
-    cache.store._mark_corrupt(entry, "{ the truncated text the reader saw")
-    assert entry.exists()  # the healthy entry was left alone
-    assert not entry.with_name(entry.name + ".corrupt").exists()
+    # simulate the race: a reader judged some (now stale) record corrupt
+    # after a writer already replaced the row with this healthy entry
+    cache.store._quarantine_rows([(job.cache_key, b"the stale blob the reader saw", "race")])
+    assert cache.store.contains(job.cache_key)  # the healthy entry was left alone
+    assert cache.store.quarantine_count() == 0
     assert cache.stats.corrupt == 1  # the corrupt sighting is still recorded
-    cold = _json_cache(tmp_path)
+    cold = _disk_cache(tmp_path)
     assert cold.get(job.cache_key) is not None
 
 
 def test_clear_removes_quarantined_entries(tmp_path, job, schedule):
-    cache = _json_cache(tmp_path)
+    cache = _disk_cache(tmp_path)
     cache.put(job.cache_key, schedule)
-    entry = next((tmp_path / "cache").glob("*.json"))
-    entry.write_text("{ not json", encoding="utf-8")
-    cold = _json_cache(tmp_path)
+    _damage(cache, job.cache_key, b"{ not a record")
+    cold = _disk_cache(tmp_path)
     assert cold.get(job.cache_key) is None
-    quarantined = list((tmp_path / "cache").glob("*.json.corrupt"))
-    assert quarantined
+    assert cold.store.quarantine_count() == 1
     cold.clear()
-    assert not list((tmp_path / "cache").glob("*.json.corrupt"))
+    assert cold.store.quarantine_count() == 0
 
 
-def test_key_collision_guard(tmp_path, job, schedule):
-    """An entry whose recorded key mismatches the lookup key is ignored."""
-    cache = _json_cache(tmp_path)
-    cache.put(job.cache_key, schedule)
-    entry = next((tmp_path / "cache").glob("*.json"))
-    document = json.loads(entry.read_text(encoding="utf-8"))
-    document["key"] = "someone-else"
-    entry.write_text(json.dumps(document), encoding="utf-8")
-    cold = _json_cache(tmp_path)
-    assert cold.get(job.cache_key) is None
-
-
-@pytest.mark.parametrize("layout", ["sqlite", "json"])
-def test_clear(tmp_path, job, schedule, layout):
-    path = (tmp_path / "cache") if layout == "sqlite" else f"json://{tmp_path / 'cache'}"
-    cache = ResultCache(path=path)
+def test_clear(tmp_path, job, schedule):
+    cache = _disk_cache(tmp_path)
     cache.put(job.cache_key, schedule)
     cache.clear()
     assert len(cache) == 0
@@ -283,7 +262,7 @@ def test_clear_never_deletes_foreign_json_files(tmp_path, job, schedule):
     directory.mkdir()
     foreign = directory / "my-problem.json"
     foreign.write_text('{"precious": true}', encoding="utf-8")
-    cache = ResultCache(path=f"json://{directory}")
+    cache = ResultCache(path=directory)
     cache.put(job.cache_key, schedule)
     assert len(cache) == 1  # foreign file is not counted as an entry
     cache.clear()
@@ -299,7 +278,6 @@ def test_negative_memory_limit_rejected():
 def test_tilde_in_cache_path_is_expanded(tmp_path, monkeypatch):
     """cache='~/...' (the documented idiom) must not create a literal '~' dir."""
     monkeypatch.setenv("HOME", str(tmp_path))
-    monkeypatch.delenv(STORE_BACKEND_ENV, raising=False)
     cache = ResultCache(path="~/.cache/repro-test")
     assert cache.path == tmp_path / ".cache" / "repro-test" / "cache.sqlite"
     assert cache.path.parent.is_dir()

@@ -1,8 +1,7 @@
-"""Tests for the persistent cache stores (SQLite + JSON-directory backends)."""
+"""Tests for the persistent SQLite cache store and the legacy JSON import."""
 
 from __future__ import annotations
 
-import json
 import marshal
 import sqlite3
 
@@ -13,8 +12,6 @@ from repro.engine import ResultCache
 from repro.engine.cache import CacheStats
 from repro.engine.store import (
     SQLITE_SCHEMA_VERSION,
-    STORE_BACKEND_ENV,
-    JsonDirStore,
     SqliteStore,
     migrate_json_dir,
     open_store,
@@ -32,7 +29,7 @@ def _entries(count, record, structure="structure-0"):
 
 
 # ----------------------------------------------------------------------
-# backend selection
+# path forms
 # ----------------------------------------------------------------------
 
 
@@ -41,31 +38,16 @@ class TestOpenStore:
         store = open_store(f"sqlite://{tmp_path / 'c.db'}")
         assert isinstance(store, SqliteStore)
 
-    def test_json_url(self, tmp_path):
-        store = open_store(f"json://{tmp_path / 'cache'}")
-        assert isinstance(store, JsonDirStore)
-
     @pytest.mark.parametrize("suffix", [".sqlite", ".sqlite3", ".db"])
     def test_database_suffix_selects_sqlite(self, tmp_path, suffix):
         store = open_store(tmp_path / f"cache{suffix}")
         assert isinstance(store, SqliteStore)
         assert store.path == tmp_path / f"cache{suffix}"
 
-    def test_directory_defaults_to_sqlite(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_BACKEND_ENV, raising=False)
+    def test_directory_defaults_to_sqlite(self, tmp_path):
         store = open_store(tmp_path / "cache")
         assert isinstance(store, SqliteStore)
         assert store.path == tmp_path / "cache" / "cache.sqlite"
-
-    def test_env_var_selects_json_for_directories(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV, "json")
-        store = open_store(tmp_path / "cache")
-        assert isinstance(store, JsonDirStore)
-
-    def test_unknown_backend_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV, "etcd")
-        with pytest.raises(CacheError, match="REPRO_CACHE_STORE"):
-            open_store(tmp_path / "cache")
 
 
 # ----------------------------------------------------------------------
@@ -250,11 +232,16 @@ def test_sqlite_eviction_keeps_store_within_max_bytes_under_50k_fill(tmp_path, r
 
 
 class TestMigration:
-    def test_migrate_json_dir_ingests_valid_entries(self, tmp_path, record, diamond_problem):
-        legacy = ResultCache(path=f"json://{tmp_path / 'legacy'}")
+    def test_migrate_json_dir_ingests_valid_entries(
+        self, tmp_path, record, diamond_problem, write_legacy_entries
+    ):
         schedule = analyze(diamond_problem)
-        for index in range(6):
-            legacy.put(f"key-{index}", schedule, split=("s", f"o-{index}"))
+        write_legacy_entries(
+            tmp_path / "legacy",
+            schedule,
+            [f"key-{index}" for index in range(6)],
+            split=lambda key: ("s", f"o-{key}"),
+        )
         (tmp_path / "legacy" / "not-an-entry.json").write_text("{}", encoding="utf-8")
         store = SqliteStore(tmp_path / "c.db")
         seen = []
@@ -267,25 +254,43 @@ class TestMigration:
         # split digests survive the migration: structure-scoped ops still work
         assert store.drop_structure("s") == 6
 
-    def test_migrate_is_idempotent(self, tmp_path, record, diamond_problem):
-        legacy = ResultCache(path=f"json://{tmp_path / 'legacy'}")
+    def test_migrate_skips_invalid_files_without_deleting_them(
+        self, tmp_path, diamond_problem, write_legacy_entries
+    ):
         schedule = analyze(diamond_problem)
-        for index in range(4):
-            legacy.put(f"key-{index}", schedule)
+        truncated, foreign, malformed, valid = write_legacy_entries(
+            tmp_path / "legacy", schedule, ["truncated", "foreign", "malformed", "valid"]
+        )
+        truncated.write_text(truncated.read_text(encoding="utf-8")[:40], encoding="utf-8")
+        foreign.write_text('{"format": "something-else", "key": "foreign"}', encoding="utf-8")
+        malformed.write_text(
+            '{"format": "repro-cache-entry", "key": "malformed", '
+            '"schedule": {"entries": [{"name": "broken"}]}}',
+            encoding="utf-8",
+        )
+        store = SqliteStore(tmp_path / "c.db")
+        assert migrate_json_dir(tmp_path / "legacy", store) == 1
+        assert store.keys() == ["valid"]
+        assert all(entry.exists() for entry in (truncated, foreign, malformed, valid))
+
+    def test_migrate_is_idempotent(
+        self, tmp_path, record, diamond_problem, write_legacy_entries
+    ):
+        schedule = analyze(diamond_problem)
+        keys = [f"key-{index}" for index in range(4)]
+        write_legacy_entries(tmp_path / "legacy", schedule, keys)
         store = SqliteStore(tmp_path / "c.db")
         assert migrate_json_dir(tmp_path / "legacy", store) == 4
         assert migrate_json_dir(tmp_path / "legacy", store) == 4  # re-run converges
         assert store.entry_count() == 4
 
     def test_directory_open_auto_migrates_legacy_entries_once(
-        self, tmp_path, diamond_problem, monkeypatch
+        self, tmp_path, diamond_problem, write_legacy_entries
     ):
-        monkeypatch.delenv(STORE_BACKEND_ENV, raising=False)
         directory = tmp_path / "cache"
-        legacy = ResultCache(path=f"json://{directory}")
         schedule = analyze(diamond_problem)
-        legacy.put("legacy-key", schedule)
-        # pointing a new (SQLite-defaulted) cache at the old directory ingests it
+        write_legacy_entries(directory, schedule, ["legacy-key"])
+        # pointing a new cache at the old directory ingests it
         cache = ResultCache(path=directory)
         assert cache.get("legacy-key") is not None
         assert cache.stats.disk_hits == 1
@@ -295,46 +300,3 @@ class TestMigration:
             entry.unlink()
         reopened = ResultCache(path=directory)
         assert reopened.get("legacy-key") is not None
-
-
-# ----------------------------------------------------------------------
-# JSON store specifics not covered via test_cache.py
-# ----------------------------------------------------------------------
-
-
-class TestJsonDirStore:
-    def test_transactions_count_files_touched(self, tmp_path, record):
-        stats = CacheStats()
-        store = JsonDirStore(tmp_path / "cache", stats)
-        store.put_many([(f"key-{index}", record, None) for index in range(5)])
-        assert stats.transactions == 5  # one per file — the contrast with SQLite
-        store.get_many([f"key-{index}" for index in range(5)])
-        assert stats.transactions == 10
-
-    def test_fetch_many_returns_raw_records(self, tmp_path, record):
-        stats = CacheStats()
-        store = JsonDirStore(tmp_path / "cache", stats)
-        store.put_many([("key-1", record, None)])
-        fetched = store.fetch_many(["key-1", "missing"])
-        assert fetched == {"key-1": record}
-        assert stats.transactions == 2  # one file written + one file read
-
-    def test_prune_evicts_oldest_first(self, tmp_path, record):
-        import os
-        import time
-
-        store = JsonDirStore(tmp_path / "cache")
-        store.put_many([(f"key-{index}", record, None) for index in range(4)])
-        now = time.time()
-        for index in range(4):
-            entry = store._entry_path(f"key-{index}")
-            os.utime(entry, (now - 100 + index, now - 100 + index))
-        assert store.prune(max_entries=2) == 2
-        kept = set(store.keys())
-        assert kept == {"key-2", "key-3"}
-
-    def test_split_digests_recorded_in_envelope(self, tmp_path, record):
-        store = JsonDirStore(tmp_path / "cache", CacheStats())
-        store.put_many([("key-1", record, ("struct", "over"))])
-        assert store.drop_structure("struct") == 1
-        assert store.entry_count() == 0

@@ -6,8 +6,9 @@ from repro.core import StructureOverlay, analyze_incremental, compile_problem
 from repro.errors import SerializationError
 from repro.generators import ChainsConfig, generate_chains
 from repro.io import (
+    delta_from_dict,
+    delta_to_dict,
     overlay_from_dict,
-    patched_from_dict,
     structure_delta_from_dict,
     structure_delta_to_dict,
 )
@@ -48,16 +49,17 @@ class TestRoundTrip:
         _, name = structure_delta_from_dict(record)
         assert name is None
 
-    def test_patched_from_dict_applies_and_warm_starts(self, kernel):
+    def test_delta_from_dict_applies_and_warm_starts(self, kernel):
         parent_schedule = analyze_incremental(kernel.problem)
         names = [kernel.names[index] for index in kernel.topo_order]
         record = structure_delta_to_dict(
             StructureOverlay.remap_task(names[1], core=2), name="what-if"
         )
-        probe = patched_from_dict(record, kernel, parent_schedule=parent_schedule)
+        probe = delta_from_dict(record, kernel, parent_schedule=parent_schedule)
         assert probe.name == "what-if"
         assert probe.parent is kernel
         assert probe.warm is not None
+        assert delta_to_dict(probe) == record
 
 
 class TestStrictKeyRejection:
