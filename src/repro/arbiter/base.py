@@ -35,7 +35,7 @@ therefore always re-evaluates the arbiter on the full competitor set.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Mapping
+from typing import Mapping
 
 from ..errors import ArbiterError
 from ..platform import MemoryBank
@@ -100,15 +100,3 @@ class BusArbiter(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-class _DemandTable:
-    """Small helper shared by arbiters that need per-core bookkeeping."""
-
-    @staticmethod
-    def total(competitors: Mapping[int, int]) -> int:
-        return sum(competitors.values())
-
-    @staticmethod
-    def nonzero(competitors: Mapping[int, int]) -> Dict[int, int]:
-        return {core: demand for core, demand in competitors.items() if demand > 0}

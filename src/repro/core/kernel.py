@@ -232,9 +232,9 @@ class CompiledProblem:
         self.sorted_order: Tuple[int, ...] = tuple(
             sorted(range(n), key=names.__getitem__)
         )
-        #: write-once (structure, parameters) digest pair of ``problem``,
-        #: filled in by repro.engine.jobs on first use
-        self._digests: Optional[Tuple[str, str]] = None
+        #: write-once (structure, parameters, parent key) digests of
+        #: ``problem``, filled in by repro.engine.jobs on first use
+        self._digests: Optional[Tuple[str, str, str]] = None
         #: write-once cache of the NumPy arrays repro.core.vector derives from
         #: this kernel (None until the vector backend first analyses it)
         self._vector_state: Optional[Any] = None

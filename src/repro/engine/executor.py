@@ -96,7 +96,7 @@ def _run_chunk(
     Each outcome is ``{"schedule": ...}`` or ``{"error": ...}`` — one failing
     job must not poison the other jobs of its chunk (or of the batch).
     ``structures`` is the chunk's shared parent-problem table for probe jobs
-    (one entry per distinct parent content digest, factored out of the
+    (one entry per distinct parent content and task order, factored out of the
     payloads by :func:`run_jobs_on` so a chunk of N probes of one parent
     ships — and compiles — that parent once).
 
@@ -250,9 +250,9 @@ def run_jobs_on(
     pending = {}
     for chunk in chunks:
         # factor the parent problems of probe jobs into one structure table
-        # per chunk, keyed by the parent's full content digest: N probes of
-        # one parent ship one parent document (and one parent schedule per
-        # algorithm), and the worker's kernel memo compiles it once
+        # per chunk, keyed by the parent's content digest and task order: N
+        # probes of one parent ship one parent document (and one parent
+        # schedule per algorithm), and the worker's kernel memo compiles it once
         structures: Dict[str, Any] = {}
         stripped: List[Dict[str, Any]] = []
         for payload in chunk:

@@ -38,8 +38,8 @@ multiprocessing start method, where workers do not inherit the parent's
 registry: only import-time registrations would otherwise be visible.
 Probe jobs ship their *parent problem once per chunk* (the executor factors
 it into a side table) plus a small per-job delta record; workers memoize the
-compiled parent per full content digest, so a chunk of N probes of one
-parent compiles that parent once, not N times.
+compiled parent per full content digest and task order, so a chunk of N
+probes of one parent compiles that parent once, not N times.
 """
 
 from __future__ import annotations
@@ -184,28 +184,33 @@ def _split_canonical(problem: AnalysisProblem) -> Tuple[Dict[str, Any], Dict[str
     return canonical, params
 
 
-def _kernel_digests(kernel: CompiledProblem) -> Tuple[str, str]:
-    """(structure, parameters) digests of a kernel's own problem.
+def _kernel_digests(kernel: CompiledProblem) -> Tuple[str, str, str]:
+    """(structure, parameters, parent key) digests of a kernel's own problem.
 
-    Both halves come from one canonical rendering and are cached on the
-    kernel, so probes of it never re-walk the graph.
+    Both halves come from one canonical rendering; the parent key (see
+    :func:`_kernel_digest`) digests them together with the kernel's task
+    order.  All three are cached on the kernel, so probes of it never
+    re-walk the graph.
     """
     if kernel._digests is None:
         structure, params = _split_canonical(kernel.problem)
         name = kernel.problem.name
-        kernel._digests = (_digest_payload(structure, name), _digest_payload(params, name))
+        halves = (_digest_payload(structure, name), _digest_payload(params, name))
+        kernel._digests = (*halves, _digest_payload([*halves, kernel.names], name))
     return kernel._digests
 
 
 def _kernel_digest(kernel: CompiledProblem) -> str:
-    """Full content digest of a kernel's own problem.
+    """Full content digest of a kernel's own problem plus its task order.
 
     The key of everything a worker shares between probes of one parent: the
     kernel memo, the chunk structure table and the factored warm-start
     schedules.  The structure half alone is not enough — two parents with
     one different WCET share it, and their probes must not share a kernel.
+    Nor is the content digest: it ignores task insertion order, while a
+    probe's delta record carries its vectors in its own parent's task order.
     """
-    return _combine_digests(*_kernel_digests(kernel))
+    return _kernel_digests(kernel)[2]
 
 
 def _overlay_params_digest(probe: OverlayProblem) -> str:
@@ -258,8 +263,9 @@ def split_problem_digests(
     )
 
 
-#: worker-side memo of compiled parent kernels keyed by full content digest:
-#: a chunk of probes of one parent compiles that parent once, not per job
+#: worker-side memo of compiled parent kernels keyed by full content digest
+#: and task order: a chunk of probes of one parent compiles that parent once,
+#: not per job
 _KERNEL_MEMO: "OrderedDict[str, CompiledProblem]" = OrderedDict()
 _KERNEL_MEMO_LIMIT = 32
 _KERNEL_MEMO_LOCK = threading.Lock()
@@ -453,7 +459,7 @@ class AnalysisJob:
 
         A probe job (an :class:`~repro.core.kernel.OverlayProblem`, whatever
         its delta) ships its *parent* problem under ``base_problem``, the
-        parent's full content digest under ``base_digest``, its delta record
+        parent's content-and-order key under ``base_digest``, its delta record
         under ``delta`` and — when it carries a warm start — the parent
         schedule under ``warm_start``.  The executor factors the parent and
         its schedule out into a per-chunk structure table keyed by
@@ -496,7 +502,7 @@ class AnalysisJob:
         """Rebuild a job from :meth:`to_payload` output (in a worker process).
 
         ``structures`` is the chunk's structure table: parent-problem
-        documents keyed by content digest (and factored parent schedules
+        documents keyed by ``base_digest`` (and factored parent schedules
         under ``warm:``-prefixed keys), referenced by probe payloads whose
         own ``base_problem`` entry was factored out by the executor.
         """

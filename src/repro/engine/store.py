@@ -342,30 +342,6 @@ class SqliteStore:
             self._quarantine_rows(corrupt)
         return results
 
-    def fetch_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, object]]:
-        """Raw ``{key: record}`` without schedule reconstruction.
-
-        The storage primitive under :meth:`get_many`: unreadable blobs are
-        quarantined and read as misses, but no :class:`Schedule` is rebuilt.
-        It is what the store's lookup throughput measures — schedule decoding
-        costs the same whatever the storage.
-        """
-        keys = list(dict.fromkeys(keys))
-        if not keys:
-            return {}
-        loads = _loads_record  # hot loop: one blob revive per row
-        results: Dict[str, Dict[str, object]] = {}
-        corrupt: List[Tuple[str, object, str]] = []
-        for key, blob in self._select_rows(keys):
-            record = loads(blob)
-            if not isinstance(record, dict):
-                corrupt.append((key, blob, "invalid record blob"))
-                continue
-            results[key] = record
-        if corrupt:
-            self._quarantine_rows(corrupt)
-        return results
-
     def _quarantine_rows(self, rows: Sequence[Tuple[str, object, str]]) -> None:
         """Move corrupt rows aside (one transaction) and count them."""
 

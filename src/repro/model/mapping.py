@@ -144,7 +144,6 @@ class Mapping:
                     "tasks not mapped to any core: " + ", ".join(sorted(unmapped)[:8])
                 )
         for core, order in self.items():
-            seen = set()
             for name in order:
                 preds = graph.transitive_predecessors(name)
                 later = set(order[order.index(name) + 1 :])
@@ -154,7 +153,6 @@ class Mapping:
                         f"core {core}: task {name!r} is ordered before its dependency "
                         f"{sorted(conflict)[0]!r}"
                     )
-                seen.add(name)
 
     # ------------------------------------------------------------------
     # value semantics / IO helpers

@@ -15,7 +15,8 @@ reference::
 When no tracer is active — the default — :func:`span` returns a shared
 no-op context manager without allocating anything, so instrumented hot
 paths cost one module-level flag check per call (see
-``scripts/bench_snapshot.py`` for the measured overhead).
+``tests/bench/test_tracing_overhead.py`` for the bound on that overhead and
+perfbench's ``trace.overhead`` metric for the cost of tracing when on).
 
 Propagation across threads is explicit (:func:`copy_context` at the spawn
 site, as :mod:`contextvars` does not flow into new threads), and across

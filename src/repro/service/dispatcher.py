@@ -267,6 +267,10 @@ class ClusterDispatcher:
         self._closed = False
         self._batches = 0
         self._jobs_dispatched = 0
+        #: endpoints whose latest ``/healthz`` probe failed, whichever thread
+        #: probed them; once it covers the whole fleet, one sweep has found
+        #: every endpoint down
+        self._failed_probes: set = set()
         #: set when a full probe sweep found every endpoint down; selections
         #: fail fast until it expires (or any endpoint recovers) instead of
         #: each queued job re-serving the whole quarantine + sweep latency
@@ -302,12 +306,9 @@ class ClusterDispatcher:
         """Pick (and reserve a slot on) the best healthy endpoint; may block.
 
         Raises :class:`~repro.errors.ServiceError` once every endpoint is
-        quarantined and a full ``/healthz`` probe sweep — performed by this
-        call, waiting out fresh quarantines first — failed to revive any.
+        quarantined and ``/healthz`` probes — by any thread, waiting out
+        fresh quarantines first — have found every one of them down.
         """
-        #: endpoints this call probed and found down; a sweep covering the
-        #: whole fleet is the evidence required for the all-down verdict
-        failed_probes: set = set()
         while True:
             probe_targets: List[_Endpoint] = []
             with self._cond:
@@ -335,10 +336,8 @@ class ClusterDispatcher:
                         # Quarantine-expired endpoints still get their
                         # background re-probe here: a recovered server must
                         # rejoin the rotation even while every healthy peer's
-                        # window is saturated with long jobs.  Health is in
-                        # flux, so any all-down evidence collected is stale.
+                        # window is saturated with long jobs.
                         self._kick_due_probes_locked()
-                        failed_probes.clear()
                         self._cond.wait(0.05)
                         continue
                     now = time.monotonic()
@@ -356,28 +355,16 @@ class ClusterDispatcher:
                             endpoint.probing = True
                         probe_targets = due
                         break
-                    if len(failed_probes) == len(self._endpoints):
-                        # this call probed every endpoint and all stayed
-                        # down: the whole cluster is unreachable
-                        self._down_until = now + self.quarantine_seconds
-                        self._cond.notify_all()
-                        raise ServiceError(
-                            f"all {len(self._endpoints)} cluster endpoint(s) are "
-                            f"unavailable: {', '.join(self.endpoints)}"
-                        )
-                    # every endpoint is freshly quarantined but this call has
-                    # not finished its own probe sweep: wait out the earliest
-                    # sentence instead of giving up with retry budget (and
-                    # the batch's completed work) still on the table
+                    # every endpoint is freshly quarantined but not all of
+                    # them failed a probe yet: wait out the earliest sentence
+                    # instead of giving up with retry budget (and the batch's
+                    # completed work) still on the table
                     earliest = min(e.quarantined_until for e in self._endpoints)
                     self._cond.wait(max(min(earliest - now, 0.25), 0.01))
             for endpoint in probe_targets:
-                if self._probe_endpoint(endpoint):
-                    failed_probes.discard(endpoint.url)
-                else:
-                    failed_probes.add(endpoint.url)
-            # loop: recovered endpoints are now selectable; failed probes
-            # pushed quarantined_until forward and count toward the sweep
+                self._probe_endpoint(endpoint)
+            # loop: recovered endpoints are now selectable; a sweep that
+            # found the whole fleet down has set the all-down verdict
 
     def _kick_due_probes_locked(self) -> None:
         """Background-probe every quarantine-expired endpoint (lock held).
@@ -430,12 +417,19 @@ class ClusterDispatcher:
                 endpoint.probing = False
                 if healthy:
                     endpoint.healthy = True
+                    self._failed_probes.discard(endpoint.url)
                     self._down_until = None  # the fleet has capacity again
                     if latency is not None:
                         endpoint.latency_ewma = latency
                 else:
                     endpoint.healthy = False
-                    endpoint.quarantined_until = time.monotonic() + self.quarantine_seconds
+                    now = time.monotonic()
+                    endpoint.quarantined_until = now + self.quarantine_seconds
+                    self._failed_probes.add(endpoint.url)
+                    if len(self._failed_probes) == len(self._endpoints):
+                        # every endpoint's latest probe failed: the whole
+                        # cluster is unreachable, for every dispatch thread
+                        self._down_until = now + self.quarantine_seconds
                 self._cond.notify_all()
         return healthy
 

@@ -196,49 +196,7 @@ class JobQueue:
         Coalesced submissions (identical content digest + algorithm already
         queued or running) never block — they add no work.
         """
-        algorithm = algorithm if algorithm is not None else self.algorithm
-        key = AnalysisJob(problem=problem, algorithm=algorithm).cache_key
-        future: "Future[Schedule]" = Future()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            if self._closed:
-                raise ServiceError("job queue is closed")
-            if self.coalesce:
-                existing = self._queued.get(key) or self._running.get(key)
-                if existing is not None:
-                    existing.waiters.append((future, problem.name))
-                    self._submitted += 1
-                    self._coalesced += 1
-                    return future
-            while len(self._heap) >= self.max_pending and not self._closed:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise QueueFullError(
-                        f"job queue is full ({self.max_pending} pending) and the "
-                        f"submission timed out after {timeout}s"
-                    )
-                self._cond.wait(remaining)
-            if self._closed:
-                raise ServiceError("job queue is closed")
-            if self.coalesce:
-                # re-check after the backpressure wait: another submitter of
-                # the same content may have enqueued it while we blocked
-                existing = self._queued.get(key) or self._running.get(key)
-                if existing is not None:
-                    existing.waiters.append((future, problem.name))
-                    self._submitted += 1
-                    self._coalesced += 1
-                    return future
-            entry = _Entry(key, problem, algorithm, int(priority), next(self._seq))
-            entry.waiters.append((future, problem.name))
-            heapq.heappush(self._heap, (-entry.priority, entry.seq, entry))
-            if self.coalesce:
-                # the key->entry maps exist only for coalescing lookups; with
-                # coalescing off duplicate keys may coexist in the heap
-                self._queued[key] = entry
-            self._submitted += 1
-            self._cond.notify_all()
-        return future
+        return self.map([problem], algorithm=algorithm, priority=priority, timeout=timeout)[0]
 
     def map(
         self,
@@ -296,7 +254,8 @@ class JobQueue:
                 if self._closed:
                     raise ServiceError("job queue is closed")
                 if self.coalesce:
-                    # re-check after a backpressure wait (same rule as submit)
+                    # re-check after a backpressure wait: another submitter
+                    # of the same content may have enqueued it while we blocked
                     existing = self._queued.get(key) or self._running.get(key)
                     if existing is not None:
                         existing.waiters.append((future, problem.name))
@@ -308,6 +267,8 @@ class JobQueue:
                 entry.waiters.append((future, problem.name))
                 heapq.heappush(self._heap, (-entry.priority, entry.seq, entry))
                 if self.coalesce:
+                    # the key->entry maps exist only for coalescing lookups;
+                    # with coalescing off duplicate keys may coexist in the heap
                     self._queued[key] = entry
                 self._submitted += 1
                 futures.append(future)

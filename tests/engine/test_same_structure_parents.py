@@ -4,13 +4,17 @@ Two problems with the same graph, mapping and platform but one different
 WCET have equal structure digests and different content digests.  Their
 probes must each run against their *own* parent: the worker kernel memo, the
 chunk structure table and the factored warm-start schedules are keyed by the
-parent's full content digest, never by the structure half alone.
+parent's full content digest, never by the structure half alone.  The same
+holds for two parents with equal content digests whose tasks were inserted
+in different orders: a probe's vectors follow its own parent's task order,
+so those keys include that order too.
 """
 
 import pytest
 
 from repro.core import (
     AnalysisProblem,
+    ParamOverlay,
     StructureOverlay,
     analyze,
     analyze_incremental,
@@ -18,6 +22,7 @@ from repro.core import (
 )
 from repro.engine.jobs import AnalysisJob
 from repro.generators import fixed_ls_workload
+from repro.io.json_io import problem_from_dict, problem_to_dict
 from repro.service import EngineRuntime
 
 
@@ -85,3 +90,31 @@ def test_structural_probes_run_against_their_own_parent(parents, backend):
     for left, right in zip(pooled, serial):
         assert left.to_dict()["entries"] == right.to_dict()["entries"]
         assert left.stats.warm_start_hits == right.stats.warm_start_hits
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_probes_of_a_reordered_twin_run_against_their_own_parent(backend):
+    base = fixed_ls_workload(24, 4, core_count=4, seed=5).to_problem(horizon=400_000)
+    document = problem_to_dict(base)
+    document["graph"]["tasks"].reverse()
+    kernels = [compile_problem(base), compile_problem(problem_from_dict(document))]
+    assert kernels[0].names == kernels[1].names[::-1]
+    jobs = [AnalysisJob(problem=kernel.problem) for kernel in kernels]
+    assert jobs[0].digest == jobs[1].digest
+    # the same named task gets 50x its WCET, each vector in its parent's order
+    slow = kernels[0].names[0]
+    probes = [
+        kernel.with_overlay(
+            ParamOverlay(
+                wcet=[
+                    wcet * 50 if name == slow else wcet
+                    for name, wcet in zip(kernel.names, kernel.wcet)
+                ]
+            ),
+            name=f"slow-{k}",
+        )
+        for k, kernel in enumerate(kernels)
+    ]
+    serial = [analyze(probe, "incremental").makespan for probe in probes]
+    assert serial[0] == serial[1]
+    assert [schedule.makespan for schedule in _run_in_one_chunk(backend, probes)] == serial

@@ -64,32 +64,14 @@ class TestSqliteStore:
         assert got_record == record
         assert schedule.to_dict() == record
 
-    def test_fetch_many_returns_raw_records(self, tmp_path, record):
-        stats = CacheStats()
-        store = SqliteStore(tmp_path / "c.db", stats)
-        store.put_many(_entries(8, record))
-        fetched = store.fetch_many([f"key-{index}" for index in range(8)] + ["missing"])
-        assert set(fetched) == {f"key-{index}" for index in range(8)}
-        assert fetched["key-0"] == record  # raw dict, no Schedule revival
-        assert stats.transactions == 2  # one put batch + one fetch batch
-
-    def test_fetch_many_quarantines_corrupt_blobs(self, tmp_path, record):
-        stats = CacheStats()
-        store = SqliteStore(tmp_path / "c.db", stats)
-        store.put_many([("key-1", record, None)])
-        with store._db_lock:
-            store._db.execute("UPDATE entries SET record = x'00ff00' WHERE key = 'key-1'")
-            store._db.commit()
-        assert store.fetch_many(["key-1"]) == {}
-        assert stats.corrupt == 1
-        assert store.quarantine_count() == 1
-
     def test_batched_calls_are_one_transaction_each(self, tmp_path, record):
         stats = CacheStats()
         store = SqliteStore(tmp_path / "c.db", stats)
-        store.put_many(_entries(64, record))
+        # more keys than one 500-key IN chunk of the select
+        keys = [f"key-{index}" for index in range(600)]
+        store.put_many(_entries(600, record))
         assert stats.transactions == 1
-        store.get_many([f"key-{index}" for index in range(64)])
+        assert set(store.get_many(keys)) == set(keys)
         assert stats.transactions == 2
 
     def test_survives_reopen(self, tmp_path, record):

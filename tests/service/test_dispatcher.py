@@ -8,6 +8,8 @@ subprocess variant — including killing a server mid-run — lives in
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import analyze_many
@@ -19,6 +21,7 @@ from repro.service import (
     AnalysisServer,
     ClusterDispatcher,
     EngineRuntime,
+    ServiceClient,
     normalize_endpoint,
 )
 
@@ -194,6 +197,35 @@ class TestFailover:
         # 10 jobs over capacity 2: serial per-job sweeps would take many
         # quarantine windows; the cached all-down verdict keeps it to ~one
         assert time.monotonic() - started < 5.0
+
+    def test_total_outage_probes_each_endpoint_once(self):
+        """One failed sweep over the fleet ends the run for every dispatch
+        thread: two threads must not take turns re-probing (and so
+        re-quarantining) the endpoints the other already found down."""
+        for _ in range(50):
+            probes = Counter()
+
+            def counting_client(url, timeout):
+                client = ServiceClient(url, timeout=timeout)
+                healthz = client.healthz
+
+                def counted_healthz():
+                    probes[url] += 1
+                    return healthz()
+
+                client.healthz = counted_healthz
+                return client
+
+            dispatcher = ClusterDispatcher(
+                DEAD,
+                quarantine_seconds=0.05,
+                max_in_flight=1,
+                client_factory=counting_client,
+            )
+            with dispatcher:
+                with pytest.raises(ServiceError, match="unavailable"):
+                    dispatcher.run(_jobs(_sweep(10)))
+            assert max(probes.values()) <= 1, dict(probes)
 
     def test_transient_blip_recovers_instead_of_aborting(self, fleet):
         """A freshly quarantined fleet is probed back to life, not given up on.
