@@ -61,7 +61,10 @@ class AnalysisProblem:
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check cross-consistency of all the pieces; raises on violation."""
+        """Check cross-consistency of all the pieces; raises on violation.
+
+        O(tasks + edges), the per-core orders included (:meth:`Mapping.validate`).
+        """
         self.graph.validate()
         self.mapping.validate(self.graph, require_complete=True)
         for core in self.mapping.cores():

@@ -36,13 +36,8 @@ from ..core.kernel import (
     StructureOverlay,
 )
 from ..errors import ModelError, SerializationError
-from ..model import (
-    MemoryDemand,
-    graph_from_dict,
-    graph_to_dict,
-    mapping_from_dict,
-    mapping_to_dict,
-)
+from ..model import MemoryDemand, graph_to_dict, mapping_from_dict, mapping_to_dict
+from ..model.serialization import unvalidated_graph_from_dict
 from ..platform import Platform
 
 __all__ = [
@@ -130,7 +125,8 @@ def problem_from_dict(data: Dict[str, Any]) -> AnalysisProblem:
         )
     try:
         platform = Platform.from_dict(data["platform"])
-        graph = graph_from_dict(data["graph"])
+        # AnalysisProblem.validate checks the graph, once
+        graph = unvalidated_graph_from_dict(data["graph"])
         mapping = mapping_from_dict(data["mapping"])
         arbiter = create_arbiter(str(data.get("arbiter", "round-robin")), platform)
         horizon = data.get("horizon")

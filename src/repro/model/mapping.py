@@ -9,7 +9,7 @@ incremental algorithm pops tasks from the per-core stacks (Algorithm 1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping as TMapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping as TMapping, Optional, Sequence, Set, Tuple
 
 from ..errors import MappingError, UnknownTaskError
 from .taskgraph import TaskGraph
@@ -133,6 +133,13 @@ class Mapping:
           ``a`` precedes ``b`` on the same core, then ``b`` must not be a
           (transitive) dependency of ``a``.  Such a contradiction would make
           the schedule infeasible regardless of timing.
+
+        The order check is one Kahn pass over the dependencies plus each core's
+        consecutive-order edges, O(tasks + edges).  A contradiction closes a
+        cycle through its core's order, so if the pass orders every task there
+        is none; else the walk naming it covers only the unordered tasks, which
+        hold the whole cycle.  A cycle across cores without a same-core
+        contradiction passes: the analyzers report the deadlock.
         """
         for task in self._core_of:
             if task not in graph:
@@ -143,11 +150,24 @@ class Mapping:
                 raise MappingError(
                     "tasks not mapped to any core: " + ", ".join(sorted(unmapped)[:8])
                 )
-        for core, order in self.items():
-            for name in order:
-                preds = graph.transitive_predecessors(name)
-                later = set(order[order.index(name) + 1 :])
-                conflict = preds & later
+        after: Dict[str, str] = {}
+        for order in self._order.values():
+            after.update(zip(order, order[1:]))
+        ordered = graph.kahn_order(after)
+        if len(ordered) == len(graph):
+            return
+        unordered = set(graph.task_names()).difference(ordered)
+        for core, tasks in self.items():
+            order = [name for name in tasks if name in unordered]
+            for index, name in enumerate(order):
+                preds: Set[str] = set()
+                stack = [name]
+                while stack:
+                    for pred in graph.predecessors(stack.pop()):
+                        if pred in unordered and pred not in preds:
+                            preds.add(pred)
+                            stack.append(pred)
+                conflict = preds.intersection(order[index + 1 :])
                 if conflict:
                     raise MappingError(
                         f"core {core}: task {name!r} is ordered before its dependency "

@@ -26,6 +26,7 @@ Format of a mapping::
 
 from __future__ import annotations
 
+from sys import intern
 from typing import Any, Dict, Mapping as TMapping
 
 from ..errors import SerializationError
@@ -60,7 +61,9 @@ def task_from_dict(data: TMapping[str, Any]) -> Task:
     try:
         accesses = {int(bank): int(count) for bank, count in dict(data.get("accesses", {})).items()}
         return Task(
-            name=str(data["name"]),
+            # interned, like edge endpoints and mapping entries: equal names are
+            # one object, so name-keyed lookups in validation hit on identity
+            name=intern(str(data["name"])),
             wcet=int(data["wcet"]),
             demand=MemoryDemand(accesses),
             min_release=int(data.get("min_release", 0)),
@@ -85,21 +88,27 @@ def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
 
 def graph_from_dict(data: TMapping[str, Any]) -> TaskGraph:
     """Deserialize a task graph (validated)."""
+    graph = unvalidated_graph_from_dict(data)
+    graph.validate()
+    return graph
+
+
+def unvalidated_graph_from_dict(data: TMapping[str, Any]) -> TaskGraph:
+    """Deserialize a task graph for a decoder that validates it later, with its problem."""
     try:
         graph = TaskGraph(name=str(data.get("name", "taskgraph")))
         for record in data.get("tasks", []):
             graph.add_task(task_from_dict(record))
         for record in data.get("dependencies", []):
             graph.add_dependency(
-                str(record["producer"]),
-                str(record["consumer"]),
+                intern(str(record["producer"])),
+                intern(str(record["consumer"])),
                 int(record.get("volume", 0)),
             )
     except SerializationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"invalid task graph record: {exc}") from exc
-    graph.validate()
     return graph
 
 
@@ -111,6 +120,6 @@ def mapping_to_dict(mapping: Mapping) -> Dict[str, Any]:
 def mapping_from_dict(data: TMapping[Any, Any]) -> Mapping:
     """Deserialize a mapping."""
     try:
-        return Mapping({int(core): [str(name) for name in order] for core, order in data.items()})
+        return Mapping({int(core): [intern(str(name)) for name in order] for core, order in data.items()})
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"invalid mapping record: {exc}") from exc

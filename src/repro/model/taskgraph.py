@@ -236,20 +236,31 @@ class TaskGraph:
         Raises :class:`CyclicDependencyError` when the graph has a cycle.
         Ties are broken by insertion order so the result is deterministic.
         """
-        in_deg = {name: len(self._predecessors[name]) for name in self._tasks}
-        ready = [name for name in self._tasks if in_deg[name] == 0]
-        order: List[str] = []
-        head = 0
-        while head < len(ready):
-            name = ready[head]
-            head += 1
-            order.append(name)
-            for succ in self._successors[name]:
-                in_deg[succ] -= 1
-                if in_deg[succ] == 0:
-                    ready.append(succ)
+        order = self.kahn_order()
         if len(order) != len(self._tasks):
             raise CyclicDependencyError(self._find_cycle())
+        return order
+
+    def kahn_order(self, after: Optional[Mapping[str, str]] = None) -> List[str]:
+        """Tasks in the order Kahn's algorithm releases them, in O(tasks + edges).
+
+        The edges are the dependencies plus ``task -> after[task]`` for each key
+        of ``after``.  Tasks on or behind a cycle are left out; ties go by
+        insertion order.
+        """
+        after = after or {}
+        pending = {name: len(self._predecessors[name]) for name in self._tasks}
+        for name in after.values():
+            pending[name] += 1
+        order = [name for name, count in pending.items() if not count]
+        for name in order:
+            successors: Iterable[str] = self._successors[name]
+            if name in after:
+                successors = (*successors, after[name])
+            for succ in successors:
+                pending[succ] -= 1
+                if not pending[succ]:
+                    order.append(succ)
         return order
 
     def validate(self) -> None:

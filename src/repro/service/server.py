@@ -82,6 +82,9 @@ from .runtime import EngineRuntime
 
 __all__ = ["AnalysisServer"]
 
+#: how often the background serving thread checks for :meth:`AnalysisServer.close`
+_SHUTDOWN_POLL_SECONDS = 0.05
+
 
 class _BadRequest(ValueError):
     """Client-side input error: reported as HTTP 400 with the message."""
@@ -146,6 +149,9 @@ class AnalysisServer:
         class _Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
             server_version = f"repro-service/{__version__}"
+            # TCP_NODELAY: headers and body leave in two writes, and Nagle's algorithm
+            # would hold the body for the client's delayed ACK (~40 ms per request)
+            disable_nagle_algorithm = True
 
             def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
                 # the default stderr access-log line is replaced by the
@@ -493,7 +499,8 @@ class AnalysisServer:
         if self._thread is not None:
             raise ServiceError("server is already running")
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-service-http", daemon=True
+            target=self._httpd.serve_forever, args=(_SHUTDOWN_POLL_SECONDS,),
+            name="repro-service-http", daemon=True,
         )
         self._thread.start()
         return self

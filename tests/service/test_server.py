@@ -9,7 +9,10 @@ drop-in for local analysis).
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -246,6 +249,32 @@ class TestServerLifecycle:
         assert server.runtime is not None
         server.close()
         assert server.runtime.closed
+
+    def test_keep_alive_replies_are_not_held_for_a_delayed_ack(self, service):
+        """Each reply leaves in two writes (headers, body); with Nagle's
+        algorithm on, the body waits for the client's delayed ACK of the
+        headers, ~40 ms per request on a reused connection."""
+        server, _, _ = service
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        latencies = []
+        try:
+            for _ in range(11):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(latencies[1:]) < 0.020
+
+    def test_close_returns_promptly(self):
+        server = AnalysisServer(port=0).start()
+        ServiceClient(server.url, timeout=10).healthz()
+        started = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - started < 0.4
 
     def test_shared_runtime_not_closed_by_server(self):
         with EngineRuntime(backend="inline") as runtime:
