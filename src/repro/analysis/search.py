@@ -166,14 +166,10 @@ class SearchDriver:
     :class:`repro.service.EngineRuntime`: every generation then executes on
     the runtime's warm pool — a whole multi-generation search performs zero
     pool constructions — and shares its result cache (unless an explicit
-    ``cache`` is given).  A ``remote`` runtime
-    (``EngineRuntime(backend="remote", endpoints=[...])``) distributes each
-    generation across a fleet of ``repro-rta serve`` endpoints instead, with
-    the probe trace still bit-identical to the serial search.
-    ``speculation=None`` (the default) adapts the lookahead to the worker
-    count — for a remote runtime, to the fleet's in-flight capacity — via
-    :func:`adaptive_speculation`, refined by the runtime's observed per-job
-    latency EWMA at every :meth:`begin_search`; pass an integer to pin it.
+    ``cache`` is given).  ``speculation=None`` (the default) adapts the
+    lookahead to the worker count via :func:`adaptive_speculation`, refined
+    by the runtime's observed per-job latency EWMA at every
+    :meth:`begin_search`; pass an integer to pin it.
 
     :raises AnalysisError: on a negative ``speculation``, or when ``runtime``
         is combined with ``batch=False``.

@@ -13,9 +13,7 @@ kernel's untouched rows and carrying a warm-start bundle derived from the
 parent's schedule, so analyzers replay the unchanged prefix instead of
 re-deriving it (bit-identical verdicts, counted by
 ``ScheduleStats.warm_start_hits``).  On a runtime-bound driver the grid fans
-out across the warm pool — or, with a ``remote`` runtime, across a fleet via
-the ``POST /batch`` delta wire form — without any additional kernel
-compilation.
+out across the warm pool without any additional kernel compilation.
 """
 
 from __future__ import annotations

@@ -158,12 +158,7 @@ def measure_algorithm_parallel(
     ``runtime`` executes the sweep on a persistent
     :class:`repro.service.EngineRuntime` — back-to-back sweeps (e.g. both
     algorithms of a comparison) then share one warm pool instead of paying
-    pool startup per series.  A ``remote`` runtime
-    (``EngineRuntime(backend="remote", endpoints=[...])``) distributes the
-    sweep across a fleet of ``repro-rta serve`` hosts; because each point
-    reports its *in-worker* wall time, the timings stay comparable no matter
-    which machine analysed it (modulo heterogeneous hardware — pin fleets of
-    identical nodes for measurement-grade numbers).
+    pool startup per series.
     """
     pairs = list(problems)
     schedules = analyze_many(

@@ -1,5 +1,1 @@
 """Command line interface package (``repro-rta``)."""
-
-from .main import build_parser, main
-
-__all__ = ["main", "build_parser"]

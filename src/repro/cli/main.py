@@ -7,7 +7,6 @@ Sub-commands
 ``batch``      analyse many problem files through the parallel, cached batch engine
 ``search``     design-space search (sensitivity / minimal horizon) with batched probes
 ``serve``      boot the persistent analysis service (warm pool + HTTP JSON API)
-``cluster``    probe a fleet of analysis servers and report health/telemetry
 ``cache``      inspect, migrate and prune the persistent result-cache store
 ``compare``    run both algorithms on a problem file and compare their schedules
 ``figure3``    reproduce one or all panels of Figure 3 of the paper
@@ -56,13 +55,7 @@ from ..io import (
     write_batch_csv,
     write_schedule_csv,
 )
-from ..service import (
-    BACKENDS,
-    AnalysisServer,
-    ClusterDispatcher,
-    EngineRuntime,
-    normalize_endpoint,
-)
+from ..service import BACKENDS, AnalysisServer, EngineRuntime
 from ..viz import analysis_report, format_table
 
 __all__ = ["main", "build_parser"]
@@ -105,13 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
             "  # local: one worker per CPU, persistent cache, JSON + CSV reports\n"
             "  repro-rta batch p*.json --workers 8 --cache-dir .repro-cache \\\n"
             "            --output batch.json --csv batch.csv\n"
-            "  # distributed: fan out across a fleet of `repro-rta serve` hosts\n"
-            "  repro-rta batch p*.json --endpoints hostA:8517,hostB:8517\n"
             "\n"
             "Results are bit-identical to the serial path regardless of worker\n"
-            "count or endpoints; a warm cache serves repeats without analysis.\n"
+            "count; a warm cache serves repeats without analysis.\n"
             "Exit codes: 0 all schedulable, 1 some job failed, 2 some problem\n"
-            "is unschedulable.  See docs/cookbook.md and docs/deployment.md."
+            "is unschedulable.  See docs/cookbook.md."
         ),
     )
     batch.add_argument("problems", nargs="+", help="problem JSON files")
@@ -123,19 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", help="persistent result-cache directory (default: in-memory only)"
     )
     batch.add_argument("--chunksize", type=int, default=None, help="jobs per worker chunk")
-    batch.add_argument(
-        "--endpoints",
-        action="append",
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="fan the batch out across these repro-rta serve endpoints "
-        "(repeatable/comma-separated; conflicts with --workers)",
-    )
-    batch.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=None,
-        help="in-flight jobs per endpoint when --endpoints is used (default: 4)",
-    )
     batch.add_argument("--output", help="write all schedules as one JSON batch document")
     batch.add_argument("--csv", help="write a one-row-per-problem CSV summary")
     batch.add_argument("--quiet", action="store_true", help="suppress per-chunk progress")
@@ -143,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="TRACE.json",
         help="trace the run and write a Chrome trace-event JSON "
-        "(open in Perfetto / chrome://tracing; spans cover CLI, engine, "
-        "workers and — with --endpoints — the remote servers)",
+        "(open in Perfetto / chrome://tracing; spans cover CLI, engine "
+        "and workers)",
     )
 
     search = subparsers.add_parser(
@@ -158,12 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
             "  # WCET headroom; smallest feasible horizon\n"
             "  repro-rta search p1.json --kind wcet --horizon 30000\n"
             "  repro-rta search p1.json --kind horizon\n"
-            "  # probe generations across a fleet of `repro-rta serve` hosts\n"
-            "  repro-rta search p1.json --kind memory --horizon 30000 \\\n"
-            "            --endpoints hostA:8517,hostB:8517\n"
             "\n"
             "The probe trace (and therefore the verdict) is bit-identical to the\n"
-            "serial search for every worker count, speculation depth and fleet.\n"
+            "serial search for every worker count and speculation depth.\n"
             "Exit codes: 0 ok, 1 error, 2 baseline already infeasible.\n"
             "See docs/cookbook.md for recipes."
         ),
@@ -197,20 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--cache-dir", help="persistent result-cache directory (default: in-memory only)"
     )
-    search.add_argument(
-        "--endpoints",
-        action="append",
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="evaluate probe generations across these repro-rta serve endpoints "
-        "(repeatable/comma-separated; conflicts with --workers and --serial)",
-    )
     search.add_argument("--output", help="write the search result as JSON")
     search.add_argument("--quiet", action="store_true", help="suppress per-generation progress")
     search.add_argument(
         "--trace-out",
         metavar="TRACE.json",
-        help="trace the search and write a Chrome trace-event JSON "
-        "(one stitched distributed trace when --endpoints is used)",
+        help="trace the search and write a Chrome trace-event JSON",
     )
 
     serve = subparsers.add_parser(
@@ -221,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
             "examples:\n"
             "  # one server: warm pool, persistent cache, JSON API on :8517\n"
             "  repro-rta serve --port 8517 --workers 8 --cache-dir ~/.cache/repro\n"
-            "  # fleet member for `repro-rta batch/search --endpoints` clients\n"
+            "  # long-running host for ServiceClient callers on the network\n"
             "  repro-rta serve --host 0.0.0.0 --port 8517 --recycle-after 10000\n"
             "\n"
             "Endpoints: POST /analyze /batch /search, GET /stats /metrics\n"
@@ -259,30 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="trace every request and persist JSONL request/span logs "
         "(requests-<port>.jsonl, spans-<port>.jsonl) under this directory",
-    )
-
-    cluster = subparsers.add_parser(
-        "cluster",
-        help="probe a fleet of analysis servers and report health/telemetry",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "examples:\n"
-            "  repro-rta cluster --endpoints hostA:8517,hostB:8517\n"
-            "\n"
-            "Probes every endpoint's /healthz and /stats and prints one row per\n"
-            "server.  Exit code 1 when any endpoint is down — usable as a\n"
-            "pre-flight check before `repro-rta batch --endpoints ...`."
-        ),
-    )
-    cluster.add_argument(
-        "--endpoints",
-        action="append",
-        required=True,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="repro-rta serve endpoints to probe (repeatable/comma-separated)",
-    )
-    cluster.add_argument(
-        "--timeout", type=float, default=5.0, help="per-probe timeout in seconds"
     )
 
     cache = subparsers.add_parser(
@@ -348,17 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_endpoints(values: Optional[List[str]]) -> List[str]:
-    """Flatten repeated/comma-separated ``--endpoints`` values to base URLs."""
-    endpoints: List[str] = []
-    for value in values or []:
-        for part in value.split(","):
-            part = part.strip()
-            if part:
-                endpoints.append(normalize_endpoint(part))
-    return endpoints
-
-
 def _command_generate(args: argparse.Namespace) -> int:
     if args.mode == "LS":
         workload = fixed_ls_workload(
@@ -409,47 +341,12 @@ def _command_batch(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    endpoints = _parse_endpoints(args.endpoints)
-    if endpoints and args.workers is not None:
-        print(
-            "error: --endpoints and --workers conflict "
-            "(a distributed batch is sized by the fleet's --max-in-flight windows)",
-            file=sys.stderr,
-        )
-        return 1
-    if endpoints and args.chunksize is not None:
-        print(
-            "error: --chunksize tunes the local worker pool and has no effect "
-            "with --endpoints (remote dispatch is per-job)",
-            file=sys.stderr,
-        )
-        return 1
-    if not endpoints and args.max_in_flight is not None:
-        print(
-            "error: --max-in-flight sizes per-endpoint windows and needs --endpoints",
-            file=sys.stderr,
-        )
-        return 1
-    runtime = (
-        EngineRuntime(
-            backend="remote",
-            endpoints=endpoints,
-            max_in_flight=4 if args.max_in_flight is None else args.max_in_flight,
-            cache=args.cache_dir,
-        )
-        if endpoints
-        else None
+    analyzer = BatchAnalyzer(
+        args.algorithm,
+        max_workers=args.workers,
+        cache=args.cache_dir,
+        chunksize=args.chunksize,
     )
-    if runtime is not None:
-        # the analyzer inherits the remote runtime's cache (args.cache_dir)
-        analyzer = BatchAnalyzer(args.algorithm, runtime=runtime)
-    else:
-        analyzer = BatchAnalyzer(
-            args.algorithm,
-            max_workers=args.workers,
-            cache=args.cache_dir,
-            chunksize=args.chunksize,
-        )
     failures = {}
     report = None
     results_cached = False
@@ -471,8 +368,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         results_cached = exc.results_cached
     finally:
         trace_scope.close()
-        if runtime is not None:
-            runtime.close()
     if tracer is not None:
         obs.write_chrome_trace(tracer.spans, args.trace_out)
         print(f"trace written to {args.trace_out} ({len(tracer.spans)} spans)")
@@ -549,23 +444,13 @@ def _command_search(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    endpoints = _parse_endpoints(args.endpoints)
-    if endpoints and (args.serial or args.workers is not None):
-        print(
-            "error: --endpoints conflicts with --serial and --workers "
-            "(probe generations run on the fleet)",
-            file=sys.stderr,
-        )
-        return 1
     # batched searches run on a persistent runtime: every generation reuses
-    # one warm pool instead of paying pool startup per 2–3-probe round —
-    # or, with --endpoints, fans out across the server fleet
-    if args.serial:
-        runtime = None
-    elif endpoints:
-        runtime = EngineRuntime(backend="remote", endpoints=endpoints, cache=args.cache_dir)
-    else:
-        runtime = EngineRuntime(max_workers=args.workers, cache=args.cache_dir)
+    # one warm pool instead of paying pool startup per 2–3-probe round
+    runtime = (
+        None
+        if args.serial
+        else EngineRuntime(max_workers=args.workers, cache=args.cache_dir)
+    )
     driver = SearchDriver(
         args.algorithm,
         batch=not args.serial,
@@ -666,8 +551,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     stats = runtime.stats()
     cache_text = args.cache_dir if args.cache_dir else "in-memory"
     # the URL line is machine-readable on purpose: smoke tests and scripts
-    # booting `repro-rta serve --port 0` parse the bound port from it
-    print(f"serving on {server.url}", flush=True)
+    # booting `repro-rta serve --port 0` parse the bound port from it.  One
+    # write call: with an unbuffered stdout, print() writes the text and the
+    # newline separately, and a reader polling the file between the two
+    # sees a torn line
+    sys.stdout.write(f"serving on {server.url}\n")
+    sys.stdout.flush()
     print(
         f"runtime: backend={stats.backend} workers={stats.workers} "
         f"cache={cache_text} algorithm={args.algorithm} "
@@ -682,71 +571,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     finally:
         server.close()
         runtime.close()
-    return 0
-
-
-def _command_cluster(args: argparse.Namespace) -> int:
-    endpoints = _parse_endpoints(args.endpoints)
-    if not endpoints:
-        print("error: --endpoints carries no endpoint", file=sys.stderr)
-        return 1
-    dispatcher = ClusterDispatcher(endpoints, probe_timeout=args.timeout, timeout=args.timeout)
-    try:
-        records = dispatcher.probe()
-    finally:
-        dispatcher.close()
-    rows = []
-    for record in records:
-        stats = record.get("stats") or {}
-        runtime_stats = stats.get("runtime") or {}
-        queue_stats = stats.get("queue") or {}
-        cache = runtime_stats.get("cache") or {}
-        latency = record.get("latency_ewma_seconds")
-        hit_rate = cache.get("hit_rate")
-        rows.append(
-            [
-                record["url"],
-                "up" if record["healthy"] else "DOWN",
-                str(runtime_stats.get("backend", "-")),
-                str(runtime_stats.get("workers", "-")),
-                str(runtime_stats.get("jobs_run", "-")),
-                f"{latency * 1000:.1f}" if latency is not None else "-",
-                str(queue_stats.get("pending", "-")),
-                str(
-                    cache.get("memory_hits", 0) + cache.get("disk_hits", 0)
-                    if cache
-                    else "-"
-                ),
-                str(cache.get("disk_entries", "-")),
-                f"{hit_rate * 100:.0f}%" if hit_rate is not None else "-",
-                str(runtime_stats.get("kernel_compilations", "-")),
-                str(runtime_stats.get("warm_start_hits", "-")),
-            ]
-        )
-    print(
-        format_table(
-            [
-                "endpoint",
-                "health",
-                "backend",
-                "workers",
-                "jobs",
-                "latency(ms)",
-                "queued",
-                "cache-hits",
-                "entries",
-                "hit-rate",
-                "compiled",
-                "warm-hits",
-            ],
-            rows,
-        )
-    )
-    down = [record["url"] for record in records if not record["healthy"]]
-    if down:
-        print(f"\n{len(down)} of {len(records)} endpoint(s) DOWN: {', '.join(down)}")
-        return 1
-    print(f"\nall {len(records)} endpoint(s) healthy")
     return 0
 
 
@@ -854,7 +678,6 @@ _COMMANDS = {
     "batch": _command_batch,
     "search": _command_search,
     "serve": _command_serve,
-    "cluster": _command_cluster,
     "cache": _command_cache,
     "compare": _command_compare,
     "figure3": _command_figure3,

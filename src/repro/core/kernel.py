@@ -161,12 +161,20 @@ class CompiledProblem:
 
         n = len(names)
         index_of = self.index_of
+        orders = dict(mapping.items())
+        # the task run just before each task on its core, in one pass over
+        # the per-core orders
+        core_pred_of: Dict[str, str] = {
+            task: previous
+            for order in orders.values()
+            for previous, task in zip(order, order[1:])
+        }
         # effective predecessors: graph edges + the implicit same-core edge,
         # deduplicated (the core predecessor may also be a graph predecessor)
         preds: List[List[int]] = []
-        for i, name in enumerate(names):
+        for name in names:
             merged = [index_of[pred] for pred in graph.predecessors(name)]
-            core_pred = mapping.predecessor_on_core(name)
+            core_pred = core_pred_of.get(name)
             if core_pred is not None:
                 core_idx = index_of[core_pred]
                 if core_idx not in merged:
@@ -203,10 +211,9 @@ class CompiledProblem:
         else:
             self.cyclic_tasks = ()
 
-        self.core_ids: Tuple[int, ...] = tuple(sorted(mapping.cores()))
+        self.core_ids: Tuple[int, ...] = tuple(orders)  # items() runs in core order
         self.core_orders: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(index_of[name] for name in mapping.order_on(core))
-            for core in self.core_ids
+            tuple(index_of[name] for name in order) for order in orders.values()
         )
 
         platform = problem.platform

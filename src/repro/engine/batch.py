@@ -82,9 +82,7 @@ class BatchAnalyzer:
     :param runtime: binds the analyzer to a persistent
         :class:`repro.service.EngineRuntime` instead of the per-call process
         pool: cache misses then execute on the runtime's warm workers (zero
-        pool constructions per batch) — or, with a
-        ``EngineRuntime(backend="remote", endpoints=[...])`` runtime, fan out
-        across a whole server fleet — and, unless an explicit ``cache`` is
+        pool constructions per batch) and, unless an explicit ``cache`` is
         given, the runtime's shared result cache is used.  Worker count and
         pool backend are the runtime's.
     :raises EngineError: when ``max_workers`` is passed alongside ``runtime``.
@@ -312,14 +310,11 @@ def analyze_many(
     :param chunksize: jobs per worker chunk (``None`` = automatic).
     :param progress: streamed :class:`~repro.engine.ProgressEvent` callback.
     :param runtime: execute on a persistent
-        :class:`repro.service.EngineRuntime` (warm pool, shared cache) —
-        including a ``remote`` one, which distributes the batch across
-        ``repro-rta serve`` endpoints — instead of a per-call pool.
+        :class:`repro.service.EngineRuntime` (warm pool, shared cache)
+        instead of a per-call pool.
     :raises BatchExecutionError: when some jobs failed; completed schedules
         are preserved on ``results`` (and cached) with messages per
         submission index on ``failures``.
-    :raises ServiceError: (remote runtime only) when every cluster endpoint
-        became unreachable.
 
     Results are independent of the worker count, pool lifetime and placement
     — every path produces schedules identical to the serial one.

@@ -336,10 +336,7 @@ def run_jobs(
 
     The pool is constructed and torn down per call; long-lived callers that
     run many batches should hold a :class:`repro.service.EngineRuntime`
-    instead, which keeps one warm pool across calls — and whose ``remote``
-    backend replaces the local pool entirely, dispatching the same jobs to a
-    fleet of analysis servers under the same ordering and partial-failure
-    contract.
+    instead, which keeps one warm pool across calls.
 
     A failing job does not abort the batch: every other job still runs, and a
     :class:`~repro.errors.BatchExecutionError` carrying the completed

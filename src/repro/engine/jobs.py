@@ -23,9 +23,9 @@ problem, split into two halves:
 — however they were constructed (a plain :class:`AnalysisProblem` or an
 :class:`~repro.core.kernel.OverlayProblem` delta against a compiled kernel),
 in whatever process — produce the same digest pair, which is what makes
-on-disk cache entries reusable across runs and machines, *and* lets the cache,
-the intra-batch dedup and the cluster dispatcher stratify hundreds of probe
-variants of one problem by their shared structure half.
+on-disk cache entries reusable across runs and machines, *and* lets the cache
+and the intra-batch dedup stratify hundreds of probe variants of one problem
+by their shared structure half.
 
 Jobs travel to worker processes as payloads that are JSON-compatible except
 for the arbiter, which rides along as the live object so parameterized

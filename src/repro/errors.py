@@ -135,11 +135,8 @@ class ServiceError(ReproError):
 
     ``status`` carries the HTTP status code when the error originated from an
     HTTP error response, and is ``None`` for transport/protocol failures (the
-    endpoint unreachable, invalid JSON, ...).  The distinction is what the
-    :class:`~repro.service.ClusterDispatcher` uses to tell *job* errors
-    (4xx: the request itself is bad, retrying elsewhere cannot help) from
-    *endpoint* errors (no status / 5xx: the endpoint is unhealthy, the job
-    should fail over to another one).
+    server unreachable, invalid JSON, ...): a 4xx means the request itself is
+    bad, while no status or a 5xx points at the server.
     """
 
     def __init__(self, message: str, *, status: int | None = None) -> None:

@@ -17,25 +17,18 @@ turns the analysis into a *resident* service:
   :mod:`repro.io` formats;
 * :mod:`repro.service.client` — :class:`ServiceClient`, the thin typed
   client for that API;
-* :mod:`repro.service.dispatcher` — :class:`ClusterDispatcher`, cluster
-  fan-out over many remote servers (load-aware routing, bounded in-flight
-  windows, retry-with-failover, health quarantine), plugged in as the
-  runtime's ``remote`` backend:
-  ``EngineRuntime(backend="remote", endpoints=[...])``;
 * :mod:`repro.service.metrics` — Prometheus text-format rendering of the
   telemetry behind ``GET /metrics``.
 
 ``BatchAnalyzer(runtime=...)`` and ``SearchDriver(runtime=...)`` bind the
 existing engine/search front ends to a runtime, so warm multi-generation
 searches perform **zero** pool constructions while verdicts stay
-bit-identical to the serial path — and with a ``remote`` runtime the same
-calls run distributed across a fleet.  On the command line, ``repro-rta
-serve`` boots one server, ``repro-rta batch/search --endpoints`` drive a
-fleet, and ``repro-rta cluster`` reports its health.
+bit-identical to the serial path.  On the command line, ``repro-rta serve``
+boots one server; a deployment runs one per host, each driven by
+:class:`ServiceClient` callers.
 """
 
 from .client import ServiceClient
-from .dispatcher import ClusterDispatcher, normalize_endpoint
 from .metrics import render_prometheus_metrics
 from .queue import JobQueue, QueueStats
 from .runtime import BACKENDS, EngineRuntime, RuntimeStats
@@ -49,7 +42,5 @@ __all__ = [
     "QueueStats",
     "AnalysisServer",
     "ServiceClient",
-    "ClusterDispatcher",
-    "normalize_endpoint",
     "render_prometheus_metrics",
 ]

@@ -39,9 +39,7 @@ class ServiceClient:
     """Client for one :class:`~repro.service.AnalysisServer` base URL.
 
     The client is stateless and thread-safe; one instance can be shared
-    across threads.  It is also the transport the
-    :class:`~repro.service.ClusterDispatcher` uses to fan batches out across
-    a fleet of servers.
+    across threads.
 
     :param base_url: server base URL, e.g. ``http://127.0.0.1:8517`` (no
         trailing path; ``https`` works if the server is behind a TLS proxy).
@@ -155,8 +153,7 @@ class ServiceClient:
         """Runtime/queue/server telemetry snapshot of the service.
 
         The ``runtime`` section mirrors :class:`~repro.service.RuntimeStats`
-        (including ``latency_ewma_seconds``, which the cluster dispatcher uses
-        to weight its routing), ``queue`` mirrors
+        (including ``latency_ewma_seconds``), ``queue`` mirrors
         :class:`~repro.service.QueueStats`, and ``server`` carries the request
         counter and version.
         """
@@ -245,8 +242,7 @@ class ServiceClient:
         parent as a single ``repro-problem`` document plus one small delta
         record per probe (:func:`repro.io.delta_to_dict` — parameter and
         structural probes mix freely), instead of N full problem payloads.
-        This is the wire format the cluster dispatcher uses to fan probe
-        generations across a fleet.  The server compiles the parent once and
+        The server compiles the parent once and
         warm-starts structural probes from its *own* parent schedule — warm
         starts never cross the wire, so a client cannot poison remote
         verdicts.  Results, ordering and the partial-failure contract match

@@ -24,7 +24,7 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: (stats-section key, metric name, type, help) for every numeric series
 _SERIES: Tuple[Tuple[str, str, str, str, str], ...] = (
     # runtime
-    ("runtime", "workers", "repro_runtime_workers", "gauge", "Configured worker count (remote: fleet in-flight capacity)"),
+    ("runtime", "workers", "repro_runtime_workers", "gauge", "Configured worker count"),
     ("runtime", "pools_created", "repro_runtime_pools_created_total", "counter", "Worker pools constructed so far"),
     ("runtime", "batches", "repro_runtime_batches_total", "counter", "Batches executed through the runtime"),
     ("runtime", "jobs_completed", "repro_runtime_jobs_completed_total", "counter", "Jobs that completed with a schedule"),
@@ -93,25 +93,18 @@ def render_prometheus_metrics(stats: Dict[str, Any]) -> str:
     ``stats`` is the dict :meth:`AnalysisServer.handle_stats` produces
     (``runtime``/``queue``/``server`` sections).  Series whose value is
     absent or non-numeric (e.g. a ``latency_ewma_seconds`` of ``null`` before
-    the first job) are omitted rather than rendered as ``NaN``.  On a
-    ``remote``-backend runtime, per-endpoint routing state is exported as
-    ``repro_cluster_endpoint_*`` series labelled by endpoint URL.
+    the first job) are omitted rather than rendered as ``NaN``.
     """
     runtime = stats.get("runtime") or {}
     lines: List[str] = []
 
-    def emit(name: str, kind: str, help_text: str, samples: List[Tuple[str, Any]]) -> None:
-        rendered = [
-            (labels, text)
-            for labels, value in samples
-            if (text := _format_value(value)) is not None
-        ]
-        if not rendered:
+    def emit(name: str, kind: str, help_text: str, value: Any) -> None:
+        text = _format_value(value)
+        if text is None:
             return
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
-        for labels, text in rendered:
-            lines.append(f"{name}{labels} {text}")
+        lines.append(f"{name} {text}")
 
     def emit_histogram(name: str, help_text: str, document: Any) -> None:
         if not isinstance(document, dict):
@@ -136,35 +129,20 @@ def render_prometheus_metrics(stats: Dict[str, Any]) -> str:
                 lines.append(f"{name}{suffix} {text}")
 
     for section, key, name, kind, help_text in _SERIES:
-        emit(name, kind, help_text, [("", (stats.get(section) or {}).get(key))])
+        emit(name, kind, help_text, (stats.get(section) or {}).get(key))
     cache = runtime.get("cache") or {}
     for key, name, help_text in _CACHE_SERIES:
-        emit(name, "counter", help_text, [("", cache.get(key))])
+        emit(name, "counter", help_text, cache.get(key))
     for key, name, help_text in _CACHE_GAUGES:
-        emit(name, "gauge", help_text, [("", cache.get(key))])
+        emit(name, "gauge", help_text, cache.get(key))
     emit(
         "repro_cache_hit_rate",
         "gauge",
         "Fraction of result-cache lookups served from cache (memory or disk)",
-        [("", cache.get("hit_rate"))],
+        cache.get("hit_rate"),
     )
     for section, key, name, help_text in _HISTOGRAM_SERIES:
         emit_histogram(name, help_text, (stats.get(section) or {}).get(key))
-    for key, name, kind, help_text in (
-        ("healthy", "repro_cluster_endpoint_healthy", "gauge", "1 when the endpoint is in rotation, 0 while quarantined"),
-        ("outstanding", "repro_cluster_endpoint_outstanding", "gauge", "Jobs currently in flight on the endpoint"),
-        ("latency_ewma_seconds", "repro_cluster_endpoint_latency_ewma_seconds", "gauge", "Routing latency EWMA of the endpoint"),
-        ("jobs_completed", "repro_cluster_endpoint_jobs_completed_total", "counter", "Jobs the endpoint completed"),
-        ("jobs_failed", "repro_cluster_endpoint_jobs_failed_total", "counter", "Jobs that failed on the endpoint"),
-        ("endpoint_errors", "repro_cluster_endpoint_errors_total", "counter", "Transport/5xx errors observed on the endpoint"),
-    ):
-        samples = []
-        for record in runtime.get("endpoints") or []:
-            value = record.get(key)
-            if key == "healthy" and value is not None:
-                value = int(bool(value))
-            samples.append((f'{{endpoint="{_escape_label(record.get("url"))}"}}', value))
-        emit(name, kind, help_text, samples)
     server = stats.get("server") or {}
     info_labels = (
         f'version="{_escape_label(server.get("version", ""))}",'

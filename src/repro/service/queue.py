@@ -126,8 +126,7 @@ class JobQueue:
 
     :param runtime: the :class:`~repro.service.EngineRuntime` the drained
         batches execute on (its shared result cache serves repeat content
-        without any analyzer invocation).  Any backend works — including
-        ``remote``, making the queue a front door to a whole fleet.
+        without any analyzer invocation).  Any backend works.
     :param algorithm: default per-submission algorithm name.
     :param max_pending: bound on queued (not yet running) jobs; at the bound
         :meth:`submit` blocks, then raises

@@ -11,12 +11,8 @@ An :class:`EngineRuntime` fixes that by owning **one** pool for its whole
 lifetime:
 
 * pluggable backend — ``process`` (default; true parallelism),
-  ``thread`` (no pickling, useful for GIL-releasing plug-ins and tests),
-  ``inline`` (no pool at all: strictly serial, deterministic debugging mode)
-  or ``remote`` (no local pool either: jobs fan out across a fleet of
-  :class:`~repro.service.AnalysisServer` endpoints through a
-  :class:`~repro.service.ClusterDispatcher` — cluster-scale analysis behind
-  the same ``run()`` contract);
+  ``thread`` (no pickling, useful for GIL-releasing plug-ins and tests) or
+  ``inline`` (no pool at all: strictly serial, deterministic debugging mode);
 * the pool is built lazily on first use and reused by every subsequent batch —
   a warm three-generation search performs **zero** additional pool
   constructions (:attr:`EngineRuntime.pools_created` counts them, which is
@@ -67,12 +63,11 @@ from ..engine.executor import (
 )
 from ..engine.jobs import AnalysisJob
 from ..errors import AnalysisError, BatchExecutionError, ServiceError
-from .dispatcher import ClusterDispatcher
 
 __all__ = ["BACKENDS", "RuntimeStats", "EngineRuntime"]
 
 #: supported worker-pool backends
-BACKENDS = ("process", "thread", "inline", "remote")
+BACKENDS = ("process", "thread", "inline")
 
 
 def _analysis_backend() -> str:
@@ -116,8 +111,6 @@ class RuntimeStats:
     #: jobs that resumed from a parent schedule instead of analyzing cold
     #: (accumulated from each result's ``ScheduleStats.warm_start_hits``)
     warm_start_hits: int = 0
-    #: per-endpoint routing snapshots (``remote`` backend only, else None)
-    endpoints: Optional[List[Dict[str, Any]]] = None
     #: per-job latency histogram (cumulative Prometheus buckets; see
     #: :class:`repro.obs.Histogram`), fed from the same in-worker wall times
     #: as the EWMA — None on snapshots taken before the accumulator existed
@@ -154,11 +147,6 @@ class RuntimeStats:
             "vector_sweeps": self.vector_sweeps,
             "generation_passes": self.generation_passes,
             **(
-                {"endpoints": [dict(record) for record in self.endpoints]}
-                if self.endpoints is not None
-                else {}
-            ),
-            **(
                 {"latency_histogram": dict(self.latency_histogram)}
                 if self.latency_histogram is not None
                 else {}
@@ -169,12 +157,9 @@ class RuntimeStats:
 class EngineRuntime:
     """Long-lived execution runtime owning one persistent worker pool.
 
-    :param backend: pool flavour — ``process`` (default), ``thread``,
-        ``inline`` (strictly serial, no pool) or ``remote`` (no local pool:
-        jobs fan out to the ``endpoints`` fleet through a
-        :class:`~repro.service.ClusterDispatcher`).
+    :param backend: pool flavour — ``process`` (default), ``thread`` or
+        ``inline`` (strictly serial, no pool).
     :param max_workers: worker count; ``None`` uses one per CPU.  Not
-        accepted with ``remote`` (the fleet's windows size the fan-out) nor
         meaningful with ``inline``.
     :param chunksize: jobs per worker chunk on the pooled backends; ``None``
         picks one that gives each worker a few chunks.
@@ -187,16 +172,7 @@ class EngineRuntime:
         :class:`~repro.analysis.SearchDriver` bound to this runtime (unless
         they were given their own).
     :param latency_smoothing: EWMA factor of the per-job latency telemetry.
-    :param endpoints: remote server specs (``host:port`` or URLs); required
-        by — and only accepted with — the ``remote`` backend.
-    :param max_in_flight: per-endpoint in-flight window (``remote`` only).
-    :param retries: per-job failover attempts beyond the first (``remote``
-        only); ``None`` lets the dispatcher default to the endpoint count.
-    :param quarantine_seconds: how long a failed endpoint sits out before a
-        health re-probe (``remote`` only).
-    :param request_timeout: per-request timeout of the dispatch clients
-        (``remote`` only).
-    :raises ServiceError: on an unknown backend or inconsistent parameters.
+    :raises ServiceError: on an unknown backend or an out-of-range parameter.
     """
 
     def __init__(
@@ -208,28 +184,11 @@ class EngineRuntime:
         recycle_after: Optional[int] = None,
         cache: Union[ResultCache, PathLike, None] = None,
         latency_smoothing: float = 0.2,
-        endpoints: Optional[Sequence[str]] = None,
-        max_in_flight: int = 4,
-        retries: Optional[int] = None,
-        quarantine_seconds: float = 5.0,
-        request_timeout: float = 300.0,
     ) -> None:
         backend = str(backend).strip().lower()
         if backend not in BACKENDS:
             raise ServiceError(
                 f"unknown runtime backend {backend!r}; choose from {', '.join(BACKENDS)}"
-            )
-        if backend == "remote":
-            if not endpoints:
-                raise ServiceError("the remote backend needs at least one endpoint")
-            if max_workers is not None:
-                raise ServiceError(
-                    "the remote backend sizes its fan-out from the endpoint windows; "
-                    "pass max_in_flight instead of max_workers"
-                )
-        elif endpoints:
-            raise ServiceError(
-                f"endpoints are only meaningful with the remote backend, not {backend!r}"
             )
         if max_workers is not None and max_workers < 1:
             raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
@@ -242,29 +201,12 @@ class EngineRuntime:
                 f"latency_smoothing must be in (0, 1], got {latency_smoothing}"
             )
         self.backend = backend
-        #: the cluster dispatcher behind the ``remote`` backend (else None)
-        self.dispatcher: Optional[ClusterDispatcher] = (
-            ClusterDispatcher(
-                list(endpoints or ()),
-                max_in_flight=max_in_flight,
-                retries=retries,
-                quarantine_seconds=quarantine_seconds,
-                timeout=request_timeout,
-                latency_smoothing=latency_smoothing,
-            )
-            if backend == "remote"
-            else None
-        )
-        if self.dispatcher is not None:
-            # what adaptive speculation and BatchReport.workers scale from:
-            # the fleet's total in-flight window
-            self.max_workers = self.dispatcher.capacity
+        if backend == "inline":
+            self.max_workers = 1
         else:
             self.max_workers = (
                 default_worker_count() if max_workers is None else int(max_workers)
             )
-        if backend == "inline":
-            self.max_workers = 1
         self.chunksize = chunksize
         self.recycle_after = recycle_after
         self.cache = cache if isinstance(cache, ResultCache) else ResultCache(path=cache)
@@ -290,11 +232,7 @@ class EngineRuntime:
 
     @property
     def workers(self) -> int:
-        """Configured worker count (what adaptive speculation scales from).
-
-        On the ``remote`` backend this is the fleet's total in-flight
-        capacity (endpoints × ``max_in_flight``), not a local pool size.
-        """
+        """Configured worker count (what adaptive speculation scales from)."""
         return self.max_workers
 
     def _build_pool(self) -> Any:
@@ -315,9 +253,9 @@ class EngineRuntime:
         with self._cond:
             if self._closed:
                 raise ServiceError("runtime is closed")
-            if self.backend in ("inline", "remote") or self.max_workers == 1:
-                # no local pool: inline runs serially, remote dispatches to
-                # the fleet — both only need the running-batch accounting
+            if self.backend == "inline" or self.max_workers == 1:
+                # no pool: the batch runs serially and only needs the
+                # running-batch accounting
                 self._active += 1
                 return None
             due = (
@@ -358,8 +296,6 @@ class EngineRuntime:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        if self.dispatcher is not None:
-            self.dispatcher.close()
 
     @property
     def closed(self) -> bool:
@@ -387,14 +323,9 @@ class EngineRuntime:
         Results come back in submission order; a failing job does not abort
         the batch (a :class:`~repro.errors.BatchExecutionError` carrying the
         completed schedules is raised at the end).  Thread-safe: concurrent
-        batches share the pool.  On the ``remote`` backend the jobs fan out
-        across the endpoint fleet instead, with the same ordering and
-        partial-failure contract; a whole-cluster outage raises
-        :class:`~repro.errors.ServiceError` (see
-        :meth:`ClusterDispatcher.run <repro.service.ClusterDispatcher.run>`).
+        batches share the pool.
 
-        :raises ServiceError: if the runtime is closed, or (remote backend)
-            every endpoint became unreachable.
+        :raises ServiceError: if the runtime is closed.
         :raises BatchExecutionError: when some jobs failed; ``results`` holds
             the completed schedules, ``failures`` the per-index messages.
         """
@@ -406,23 +337,20 @@ class EngineRuntime:
             # vector backend resolved) runs as one in-process 2-D array pass —
             # no pool acquisition, no payload pickling, bit-identical results.
             # The running-batch accounting still applies so close() waits.
-            if self.dispatcher is None:
-                with self._cond:
-                    if self._closed:
-                        raise ServiceError("runtime is closed")
-                    self._active += 1
-                try:
-                    batched = run_generation_batched(jobs, progress)
-                finally:
-                    self._release_pool(0)
-                if batched is not None:
-                    self._record(jobs, batched)
-                    return batched
+            with self._cond:
+                if self._closed:
+                    raise ServiceError("runtime is closed")
+                self._active += 1
+            try:
+                batched = run_generation_batched(jobs, progress)
+            finally:
+                self._release_pool(0)
+            if batched is not None:
+                self._record(jobs, batched)
+                return batched
             pool = self._acquire_pool()
             try:
-                if self.dispatcher is not None:
-                    results = self.dispatcher.run(jobs, progress=progress)
-                elif pool is None:
+                if pool is None:
                     results = run_jobs_serial(jobs, progress)
                 else:
                     results = run_jobs_on(
@@ -480,11 +408,6 @@ class EngineRuntime:
                 cache=self.cache.stats_dict(),
                 kernel_compilations=_kernel_compilations(),
                 warm_start_hits=self._warm_start_hits,
-                endpoints=(
-                    self.dispatcher.stats()["endpoints"]
-                    if self.dispatcher is not None
-                    else None
-                ),
                 latency_histogram=self._latency_histogram.to_dict(),
                 analysis_backend=_analysis_backend(),
                 vector_sweeps=vector_sweep_count(),

@@ -27,10 +27,11 @@ Endpoints
     documents; each record is a ``repro-overlay`` parameter delta or a
     ``repro-structure-delta`` edit (add/remove task or edge, remap), mixed
     freely.  The server compiles the parent into a problem kernel once and
-    analyses every probe against it (the wire format behind the cluster
-    dispatcher's delta sub-batches).  When a structural record is present
-    the server first analyses the parent (queue-coalesced, so repeat parents
-    are free) and warm-starts the structural probes from that schedule.
+    analyses every probe against it (the wire format behind
+    :meth:`ServiceClient.analyze_many_deltas`).  When a structural record is
+    present the server first analyses the parent (queue-coalesced, so repeat
+    parents are free) and warm-starts the structural probes from that
+    schedule.
     Warm starts are always computed server-side from the server's own parent
     schedule; clients cannot supply one (a poisoned schedule could alter
     verdicts).
@@ -46,7 +47,7 @@ Endpoints
     The same telemetry in the Prometheus text exposition format
     (:mod:`repro.service.metrics`), ready for a standard scraper.
 ``GET /healthz``
-    Liveness probe (also what the cluster dispatcher's quarantine re-probes).
+    Liveness probe.
 
 Errors come back as ``{"error": "..."}`` with 400 (bad request), 404, 405,
 422 (analysis failed) or 500.
@@ -192,8 +193,8 @@ class AnalysisServer:
                             status, response = self._evaluate(method, path)
                             req.set(status=status)
                     if traceparent and isinstance(response, dict):
-                        # hand the server-side spans back to the caller so one
-                        # cluster search stitches into a single trace
+                        # hand the server-side spans back to the caller so a
+                        # client-driven run stitches into a single trace
                         response = {**response, "trace": tracer.span_dicts()}
                 # log before replying: once the client sees the response it
                 # may issue its next request, and that handler thread must

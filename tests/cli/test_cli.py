@@ -1,11 +1,17 @@
 """Tests for the ``repro-rta`` command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli.main import build_parser, main
 from repro.io import load_problem, load_schedule
+
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestParser:
@@ -17,6 +23,35 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--version"])
         assert excinfo.value.code == 0
+
+    def test_module_entry_point_runs_without_warnings(self):
+        """``python -m repro.cli.main`` imports its module once: no runpy warning."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli.main", "--version"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout.startswith("repro-rta ")
+
+    def test_cli_package_does_not_import_its_main_module(self):
+        """``repro.cli.main`` is loaded only when asked for, so ``-m`` runs it once."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.cli; print('repro.cli.main' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestInfo:

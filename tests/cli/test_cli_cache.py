@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro import analyze
-from repro.cli import main
+from repro.cli.main import main
 from repro.engine import ResultCache
 from repro.engine.store import SqliteStore
 

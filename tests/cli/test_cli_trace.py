@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.cli import main
+from repro.cli.main import main
 from repro.generators import fixed_ls_workload
 from repro.io import save_problem
 

@@ -14,7 +14,17 @@ from repro.core import (
 )
 from repro.core.kernel import KEEP_HORIZON
 from repro.errors import AnalysisError, MappingError, ModelError
-from repro.model import MemoryDemand, Mapping, TaskGraph
+from repro.generators import (
+    ChainsConfig,
+    ForkJoinConfig,
+    SeriesParallelConfig,
+    fixed_ls_workload,
+    fixed_nl_workload,
+    generate_chains,
+    generate_fork_join,
+    generate_series_parallel,
+)
+from repro.model import MemoryDemand, Mapping, Task, TaskGraph
 from repro.platform import quad_core_single_bank
 
 from .reference_impl import reference_incremental
@@ -32,6 +42,22 @@ def diamond():
     builder.edge("right", "sink")
     graph, mapping = builder.build_both()
     return AnalysisProblem(graph, mapping, quad_core_single_bank(), horizon=200)
+
+
+#: generated problems with several tasks per core, for the adjacency checks
+WORKLOADS = {
+    "layer-size": lambda: fixed_ls_workload(48, 4, core_count=4, seed=1).to_problem(),
+    "layer-count": lambda: fixed_nl_workload(48, 6, core_count=5, seed=2).to_problem(),
+    "chains": lambda: generate_chains(
+        ChainsConfig(chains=4, length=6, core_count=3, seed=3)
+    ).to_problem(),
+    "fork-join": lambda: generate_fork_join(
+        ForkJoinConfig(sections=3, width=5, core_count=4, seed=4)
+    ).to_problem(),
+    "series-parallel": lambda: generate_series_parallel(
+        SeriesParallelConfig(target_tasks=40, core_count=6, seed=5)
+    ).to_problem(),
+}
 
 
 class TestCompiledProblem:
@@ -105,6 +131,43 @@ class TestCompiledProblem:
         before = compilation_count()
         compile_problem(diamond())
         assert compilation_count() == before + 1
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_merged_predecessors_match_per_task_core_queries(self, workload):
+        """The one-pass core-predecessor table gives the per-task answers."""
+        problem = WORKLOADS[workload]()
+        kernel = compile_problem(problem)
+        assert kernel.core_ids == tuple(problem.mapping.cores())
+        for index, name in enumerate(kernel.names):
+            expected = [kernel.index_of[pred] for pred in problem.graph.predecessors(name)]
+            core_pred = problem.mapping.predecessor_on_core(name)
+            if core_pred is not None and kernel.index_of[core_pred] not in expected:
+                expected.append(kernel.index_of[core_pred])
+            assert kernel.predecessors_of(index) == tuple(expected), name
+
+    def test_core_tables_follow_core_number_not_assignment_order(self):
+        graph = TaskGraph("scattered")
+        for name in ("a", "b", "c", "d", "e"):
+            graph.add_task(Task(name=name, wcet=5))
+        graph.add_dependency("a", "d")
+        mapping = Mapping()
+        for name, core in (("c", 3), ("a", 0), ("e", 3), ("b", 1), ("d", 0)):
+            mapping.assign(name, core)
+        kernel = compile_problem(AnalysisProblem(graph, mapping, quad_core_single_bank()))
+        assert kernel.core_ids == (0, 1, 3)
+        orders = [[kernel.names[i] for i in order] for order in kernel.core_orders]
+        assert orders == [["a", "d"], ["b"], ["c", "e"]]
+        preds = {name: kernel.predecessors_of(kernel.index_of[name]) for name in kernel.names}
+        # 'd' follows 'a' on core 0 and in the graph: one merged edge
+        assert preds["d"] == (kernel.index_of["a"],)
+        assert preds["e"] == (kernel.index_of["c"],)
+        assert preds["a"] == preds["b"] == preds["c"] == ()
+
+    def test_first_task_on_each_core_keeps_only_its_graph_predecessors(self):
+        kernel = compile_problem(diamond())
+        right = kernel.index_of["right"]  # first on core 1, fed by 'src' on core 0
+        assert kernel.predecessors_of(right) == (kernel.index_of["src"],)
+        assert kernel.predecessors_of(kernel.index_of["src"]) == ()
 
 
 class TestParamOverlay:

@@ -14,10 +14,10 @@ from typing import List
 import pytest
 
 from repro import AnalysisProblem, BatchAnalyzer, ResultCache, analyze, analyze_many
-from repro.core.analyzer import register_algorithm
+from repro.core.analyzer import available_algorithms, register_algorithm
 from repro.engine import ProgressEvent, default_worker_count, run_jobs
 from repro.engine.jobs import AnalysisJob
-from repro.errors import EngineError
+from repro.errors import AnalysisError, EngineError
 from repro.generators import fixed_ls_workload
 
 
@@ -238,8 +238,27 @@ def test_cache_hits_are_relabeled_with_the_requesting_problem_name():
     first, second = analyzer.run([base, renamed]).schedules
     assert first.problem_name == base.name
     assert second.problem_name == "renamed-problem"
-    # and the same through the registered cached algorithm
-    assert analyze(renamed, "cached-incremental").problem_name == "renamed-problem"
+
+
+def test_persistent_cache_hits_across_analyzers_are_relabeled(tmp_path):
+    """A disk hit written under another name comes back under the asker's."""
+    base = fixed_ls_workload(16, 4, core_count=4, seed=1).to_problem()
+    renamed = base.with_horizon(None)
+    renamed.name = "renamed-problem"
+    (first,) = BatchAnalyzer(max_workers=1, cache=tmp_path / "cache").run([base]).schedules
+    report = BatchAnalyzer(max_workers=1, cache=tmp_path / "cache").run([renamed])
+    assert report.cached == 1 and report.computed == 0
+    (second,) = report.schedules
+    assert first.problem_name == base.name
+    assert second.problem_name == "renamed-problem"
+    assert second.to_dict()["entries"] == first.to_dict()["entries"]
+
+
+def test_cached_incremental_algorithm_is_retired():
+    """Result caching lives in the batch front door, not in the registry."""
+    assert "cached-incremental" not in available_algorithms()
+    with pytest.raises(AnalysisError, match="unknown algorithm 'cached-incremental'"):
+        analyze(_sweep(1)[0], "cached-incremental")
 
 
 def test_cache_write_failure_does_not_discard_results(tmp_path, monkeypatch):
@@ -259,23 +278,6 @@ def test_cache_write_failure_does_not_discard_results(tmp_path, monkeypatch):
         report = analyzer.run(_sweep(3))
     assert report.computed == 3
     assert len(report.schedules) == 3
-
-
-def test_cached_algorithm_survives_cache_write_failure(diamond_problem, monkeypatch):
-    """The registered cached-* path returns the schedule even if put() fails."""
-    from repro.engine import register_cached_algorithm
-    from repro.errors import CacheError
-
-    cache = ResultCache()
-
-    def broken_put(key, schedule, *, split=None):
-        raise CacheError("disk full")
-
-    monkeypatch.setattr(cache, "put", broken_put)
-    register_cached_algorithm("cached-broken-store-test", "incremental", cache, overwrite=True)
-    with pytest.warns(RuntimeWarning, match="cache write failed"):
-        schedule = analyze(diamond_problem, "cached-broken-store-test")
-    assert schedule.makespan > 0
 
 
 def test_run_jobs_does_not_mutate_caller_job_indices():
@@ -333,30 +335,6 @@ def test_invalid_worker_count_rejected(diamond_problem):
 
 def test_default_worker_count_positive():
     assert default_worker_count() >= 1
-
-
-def test_cached_algorithm_registered_through_plugin_registry(diamond_problem):
-    """The engine's cache-aware path goes through register_algorithm."""
-    from repro import available_algorithms
-    from repro.engine import default_cache
-
-    assert "cached-incremental" in available_algorithms()
-    before = default_cache().stats.hits
-    first = analyze(diamond_problem, "cached-incremental")
-    second = analyze(diamond_problem, "cached-incremental")
-    assert default_cache().stats.hits >= before + 1
-    assert first.to_dict()["entries"] == second.to_dict()["entries"]
-
-
-def test_register_cached_algorithm_custom_cache(diamond_problem):
-    from repro.engine import register_cached_algorithm
-
-    cache = ResultCache()
-    register_cached_algorithm("fixedpoint-cached-test", "fixedpoint", cache, overwrite=True)
-    analyze(diamond_problem, "fixedpoint-cached-test")
-    assert cache.stats.misses == 1
-    analyze(diamond_problem, "fixedpoint-cached-test")
-    assert cache.stats.hits == 1
 
 
 def test_custom_registered_algorithm_runs_in_workers(diamond_problem):

@@ -6,7 +6,7 @@ import csv
 
 import pytest
 
-from repro.cli import main
+from repro.cli.main import main
 from repro.io import load_batch_results
 
 

@@ -66,13 +66,10 @@ def test_payload_carries_picklable_registration():
 
 
 def test_payload_omits_unpicklable_registration():
-    """Closures (e.g. the cached-* wrappers) stay registry-resolved, not shipped."""
+    """Closures stay registry-resolved, not shipped."""
     register_algorithm("spawn-closure-test", lambda problem: None, overwrite=True)
     job = AnalysisJob(problem=_sweep(1)[0], algorithm="spawn-closure-test")
     assert job.to_payload()["algorithm_function"] is None
-    # the engine's own cached wrapper is a closure too
-    cached = AnalysisJob(problem=_sweep(1)[0], algorithm="cached-incremental")
-    assert cached.to_payload()["algorithm_function"] is None
 
 
 def test_portability_check_runs_once_per_function_not_per_job(monkeypatch):

@@ -135,6 +135,133 @@ class TestStructure:
         assert graph.banks_used() == set()
 
 
+def assert_adjacency_mirrored(graph: TaskGraph) -> None:
+    """The successor and predecessor maps hold the same dependency records.
+
+    :meth:`TaskGraph.validate` does not re-walk the edges to check this, so
+    every writer of the two maps is held to it here.
+    """
+    assert set(graph._successors) == set(graph._predecessors) == set(graph.task_names())
+    forward = {
+        (producer, consumer): dep
+        for producer, succs in graph._successors.items()
+        for consumer, dep in succs.items()
+    }
+    backward = {
+        (producer, consumer): dep
+        for consumer, preds in graph._predecessors.items()
+        for producer, dep in preds.items()
+    }
+    assert forward.keys() == backward.keys()
+    for (producer, consumer), dep in forward.items():
+        assert backward[producer, consumer] is dep
+        assert (dep.producer, dep.consumer) == (producer, consumer)
+
+
+def diamond_graph() -> TaskGraph:
+    graph = TaskGraph("diamond")
+    for name in ("src", "left", "right", "sink"):
+        graph.add_task(Task(name=name, wcet=1))
+    for producer, consumer in (("src", "left"), ("src", "right"), ("left", "sink"), ("right", "sink")):
+        graph.add_dependency(producer, consumer, volume=2)
+    return graph
+
+
+class TestAdjacencyInvariant:
+    def test_add_dependency_records_one_edge_both_ways(self):
+        graph = diamond_graph()
+        assert_adjacency_mirrored(graph)
+        assert graph.predecessors("sink") == ["left", "right"]
+        assert graph.successors("src") == ["left", "right"]
+
+    def test_merged_duplicate_edge_is_seen_from_both_ends(self):
+        graph = diamond_graph()
+        graph.add_dependency("src", "left", volume=5)
+        assert_adjacency_mirrored(graph)
+        assert graph.dependency("src", "left").volume == 7
+        assert graph._predecessors["left"]["src"].volume == 7
+
+    def test_remove_dependency_drops_both_ends(self):
+        graph = diamond_graph()
+        graph.remove_dependency("src", "right")
+        assert_adjacency_mirrored(graph)
+        assert graph.predecessors("right") == []
+        assert graph.successors("src") == ["left"]
+
+    def test_removing_an_absent_edge_changes_nothing(self):
+        graph = diamond_graph()
+        graph.remove_dependency("left", "right")
+        assert_adjacency_mirrored(graph)
+        assert graph.edge_count == 4
+
+    def test_remove_task_drops_every_touching_edge_both_ways(self):
+        graph = diamond_graph()
+        graph.remove_task("left")
+        assert_adjacency_mirrored(graph)
+        assert graph.successors("src") == ["right"]
+        assert graph.predecessors("sink") == ["right"]
+        assert graph.edge_count == 2
+
+    def test_replace_task_leaves_adjacency_mirrored(self):
+        graph = diamond_graph()
+        graph.replace_task(Task(name="left", wcet=9))
+        assert_adjacency_mirrored(graph)
+        assert graph.edge_count == 4
+
+    def test_copy_and_subgraph_are_mirrored(self):
+        graph = diamond_graph()
+        assert_adjacency_mirrored(graph.copy())
+        sub = graph.subgraph(["src", "left", "sink"])
+        assert_adjacency_mirrored(sub)
+        assert sub.edge_count == 2
+
+    def test_validate_rejects_a_cycle_and_passes_once_it_is_removed(self):
+        graph = chain_graph(3)
+        graph.validate()
+        graph.add_dependency("t2", "t0")
+        with pytest.raises(CyclicDependencyError):
+            graph.validate()
+        graph.remove_dependency("t2", "t0")
+        graph.validate()
+
+    def test_checked_dependency_that_closes_a_cycle_raises(self):
+        graph = chain_graph(3)
+        with pytest.raises(CyclicDependencyError):
+            graph.add_dependency("t2", "t0", check_cycles=True)
+
+
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["add_task", "add_dependency", "remove_dependency", "remove_task"]),
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.integers(0, 3),
+        ),
+        max_size=40,
+    )
+)
+def test_random_edit_sequences_keep_adjacency_mirrored(edits):
+    graph = TaskGraph()
+    for index in range(4):
+        graph.add_task(Task(name=f"n{index}", wcet=1))
+    for kind, first, second, volume in edits:
+        a, b = f"n{first}", f"n{second}"
+        if kind == "add_task":
+            if a not in graph:
+                graph.add_task(Task(name=a, wcet=1))
+        elif a not in graph:
+            continue
+        elif kind == "remove_task":
+            graph.remove_task(a)
+        elif b in graph and a != b:
+            if kind == "add_dependency":
+                graph.add_dependency(a, b, volume=volume)
+            else:
+                graph.remove_dependency(a, b)
+        assert_adjacency_mirrored(graph)
+
+
 @given(length=st.integers(min_value=1, max_value=30))
 def test_chain_topological_order_length(length):
     graph = chain_graph(length)

@@ -7,16 +7,15 @@ over real HTTP by the :class:`ServiceClient` — runs through
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.cli.main import _parse_endpoints, build_parser, main
-from repro.generators import fixed_ls_workload
-from repro.io import save_problem
-from repro.service import AnalysisServer, EngineRuntime
+from repro.cli.main import build_parser, main
+from repro.service import BACKENDS, AnalysisServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SMOKE = REPO_ROOT / "scripts" / "serve_smoke.py"
@@ -54,98 +53,94 @@ class TestArguments:
         assert args.verbose
 
     def test_serve_rejects_unknown_backend(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--backend", "quantum"])
+        for backend in ("quantum", "remote"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "--backend", backend])
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["batch", "p.json", "--endpoints", "hostA:8517"], "--endpoints"),
+            (["batch", "p.json", "--max-in-flight", "4"], "--max-in-flight"),
+            (["search", "p.json", "--endpoints", "hostA:8517"], "--endpoints"),
+            (["cluster", "--endpoints", "hostA:8517"], "'cluster'"),
+        ],
+        ids=["batch-endpoints", "batch-max-in-flight", "search-endpoints", "cluster"],
+    )
+    def test_retired_cluster_options_are_usage_errors(self, argv, fragment, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_serve_starts_on_every_offered_backend(self, backend, monkeypatch, capsys):
+        """Every ``--backend`` choice boots; none is offered and then fails."""
+
+        def interrupt(self, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(AnalysisServer, "serve_forever", interrupt)
+        assert main(["serve", "--port", "0", "--backend", backend, "--workers", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("serving on http://127.0.0.1:")
+        workers = 1 if backend == "inline" else 2
+        assert f"runtime: backend={backend} workers={workers} " in captured.err
 
 
-class TestClusterArguments:
-    def test_parse_endpoints_flattens_and_normalizes(self):
-        assert _parse_endpoints(["hostA:1,hostB:2", "http://hostC:3/"]) == [
-            "http://hostA:1",
-            "http://hostB:2",
-            "http://hostC:3",
-        ]
-        assert _parse_endpoints(None) == []
+class TestAnnouncement:
+    def test_serving_line_is_one_write(self, monkeypatch):
+        """A reader polling stdout never sees the ``serving on`` line torn.
 
-    def test_cluster_requires_endpoints(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["cluster"])
+        Under an unbuffered stdout every ``write`` call is one system call,
+        so the line must leave the process in a single write.
+        """
 
-    def test_batch_and_search_accept_endpoints(self):
-        args = build_parser().parse_args(
-            ["batch", "p.json", "--endpoints", "a:1,b:2", "--endpoints", "c:3"]
-        )
-        assert args.endpoints == ["a:1,b:2", "c:3"]
-        assert args.max_in_flight is None  # defaulted to 4 only on the remote path
-        args = build_parser().parse_args(["search", "p.json", "--endpoints", "a:1"])
-        assert args.endpoints == ["a:1"]
+        class Recorder:
+            def __init__(self):
+                self.writes = []
 
-    def test_batch_endpoints_conflict_with_workers(self, tmp_path, capsys):
-        problem = fixed_ls_workload(16, 4, core_count=4, seed=1).to_problem()
-        path = save_problem(problem, tmp_path / "p.json")
-        rc = main(["batch", str(path), "--endpoints", "a:1", "--workers", "2"])
-        assert rc == 1
-        assert "--endpoints and --workers conflict" in capsys.readouterr().err
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
 
-    def test_batch_remote_only_flags_need_endpoints(self, tmp_path, capsys):
-        problem = fixed_ls_workload(16, 4, core_count=4, seed=1).to_problem()
-        path = save_problem(problem, tmp_path / "p.json")
-        rc = main(["batch", str(path), "--max-in-flight", "8"])
-        assert rc == 1
-        assert "--max-in-flight" in capsys.readouterr().err
-        rc = main(["batch", str(path), "--endpoints", "a:1", "--chunksize", "2"])
-        assert rc == 1
-        assert "--chunksize" in capsys.readouterr().err
+            def flush(self):
+                pass
 
-    def test_search_endpoints_conflict_with_serial(self, tmp_path, capsys):
-        problem = fixed_ls_workload(16, 4, core_count=4, seed=1).to_problem()
-        path = save_problem(problem, tmp_path / "p.json")
-        rc = main(["search", str(path), "--kind", "horizon", "--endpoints", "a:1", "--serial"])
-        assert rc == 1
-        assert "--endpoints conflicts" in capsys.readouterr().err
+        def interrupt(self, *args, **kwargs):
+            raise KeyboardInterrupt
 
+        recorder = Recorder()
+        monkeypatch.setattr(AnalysisServer, "serve_forever", interrupt)
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(["serve", "--port", "0", "--backend", "inline"]) == 0
+        announcements = [text for text in recorder.writes if "serving on" in text]
+        assert len(announcements) == 1
+        assert re.fullmatch(r"serving on http://127\.0\.0\.1:\d+\n", announcements[0])
 
-class TestClusterCommand:
-    def test_probe_healthy_fleet_and_down_fleet(self, capsys):
-        servers = [
-            AnalysisServer(EngineRuntime(backend="inline"), port=0).start() for _ in range(2)
-        ]
-        endpoints = ",".join(f"127.0.0.1:{server.port}" for server in servers)
-        try:
-            assert main(["cluster", "--endpoints", endpoints]) == 0
-            out = capsys.readouterr().out
-            assert "all 2 endpoint(s) healthy" in out
-            assert "inline" in out
-        finally:
-            for server in servers:
-                server.close()
-        assert main(["cluster", "--endpoints", endpoints, "--timeout", "2"]) == 1
-        assert "DOWN" in capsys.readouterr().out
+    def test_serving_line_is_the_first_stdout_line_with_a_pool_and_a_cache(
+        self, monkeypatch, tmp_path
+    ):
+        """The command a benchmark boots: process pool, workers, cache dir."""
+        writes = []
 
-    def test_distributed_batch_cli_round_trip(self, tmp_path, capsys):
-        problems = [
-            fixed_ls_workload(16, 4, core_count=4, seed=seed).to_problem() for seed in range(3)
-        ]
-        paths = [
-            str(save_problem(problem, tmp_path / f"p{index}.json"))
-            for index, problem in enumerate(problems)
-        ]
-        servers = [
-            AnalysisServer(EngineRuntime(backend="inline"), port=0).start() for _ in range(2)
-        ]
-        endpoints = ",".join(server.url for server in servers)
-        try:
-            rc = main(
-                ["batch", *paths, "--endpoints", endpoints, "--quiet",
-                 "--output", str(tmp_path / "batch.json")]
-            )
-        finally:
-            for server in servers:
-                server.close()
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "3 problem(s)" in out
-        assert (tmp_path / "batch.json").exists()
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        def interrupt(self, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(AnalysisServer, "serve_forever", interrupt)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        argv = ["serve", "--port", "0", "--workers", "2", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert writes
+        assert re.fullmatch(r"serving on http://127\.0\.0\.1:\d+\n", writes[0])
 
 
 class TestSmoke:

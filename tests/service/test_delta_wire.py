@@ -1,15 +1,13 @@
 """Service-layer tests of the delta wire form, for both delta record kinds.
 
 ``POST /batch {"problem", "deltas": [...]}`` carries ``repro-overlay``
-(parameter) and ``repro-structure-delta`` (structural) records alike; the
-client ships them through one method, and the cluster dispatcher plans them
-into one kind of unit.  Each behaviour below runs once per kind, plus the
-cases that only exist for one kind or for a mixed batch.
+(parameter) and ``repro-structure-delta`` (structural) records alike, and
+the client ships them through one method.  Each behaviour below runs once
+per kind, plus the cases that only exist for one kind or for a mixed batch.
 """
 
 import pytest
 
-from repro.analysis import SearchDriver, memory_sensitivity
 from repro.core import (
     ParamOverlay,
     StructureOverlay,
@@ -17,7 +15,6 @@ from repro.core import (
     compilation_count,
     compile_problem,
 )
-from repro.engine.jobs import AnalysisJob
 from repro.errors import SerializationError, ServiceError
 from repro.generators import ChainsConfig, generate_chains
 from repro.io import (
@@ -27,7 +24,7 @@ from repro.io import (
     problem_to_dict,
     structure_delta_to_dict,
 )
-from repro.service import AnalysisServer, ClusterDispatcher, EngineRuntime, ServiceClient
+from repro.service import AnalysisServer, EngineRuntime, ServiceClient
 
 KINDS = ["parameter", "structural"]
 
@@ -84,29 +81,6 @@ def _post_batch(server, document):
     with pytest.raises(ServiceError) as excinfo:
         ServiceClient(server.url)._request("POST", "/batch", document)
     return excinfo.value
-
-
-class _LegacyClient:
-    """A client of a server that predates the ``deltas`` form (400 on it)."""
-
-    calls = {"delta": 0, "single": 0}
-
-    def __init__(self, base_url, *, timeout=None):
-        self.base_url = base_url
-
-    def analyze_many_deltas(self, probes, *, algorithm=None, priority=0):
-        self.calls["delta"] += 1
-        raise ServiceError("unknown batch form", status=400)
-
-    def analyze(self, problem, *, algorithm=None, priority=0):
-        self.calls["single"] += 1
-        return analyze(problem, algorithm or "incremental")
-
-    def healthz(self):
-        return {"status": "ok"}
-
-    def stats(self):
-        return {}
 
 
 class TestDeltaRecords:
@@ -233,71 +207,3 @@ class TestClientRejections:
             client.analyze_many_deltas([problem])
         with pytest.raises(ServiceError):
             client.analyze_many_deltas([])
-
-
-class TestDispatcherDeltaUnits:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_plan_units_groups_same_parent_probes(self, kind, kernel, problem):
-        dispatcher = ClusterDispatcher(["127.0.0.1:1"], delta_batch=3)
-        try:
-            jobs = [
-                AnalysisJob(problem=probe, index=i)
-                for i, probe in enumerate(_probes(kind, kernel))
-            ]
-            jobs.append(AnalysisJob(problem=problem, index=len(jobs)))
-            units = dispatcher._plan_units(jobs)
-            # plain job alone, 4 same-parent probes chunked 3 + 1
-            assert sorted(len(unit) for unit in units) == [1, 1, 3]
-            assert [len(jobs) - 1] in units  # the plain problem dispatches per-job
-        finally:
-            dispatcher.close()
-
-    def test_plan_units_puts_both_kinds_of_one_parent_in_one_group(self, kernel):
-        dispatcher = ClusterDispatcher(["127.0.0.1:1"], delta_batch=8)
-        try:
-            probes = _probes("parameter", kernel)[:2] + _probes("structural", kernel)[:2]
-            jobs = [AnalysisJob(problem=p, index=i) for i, p in enumerate(probes)]
-            assert dispatcher._plan_units(jobs) == [[0, 1, 2, 3]]
-        finally:
-            dispatcher.close()
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_rejected_delta_form_falls_back_to_per_job_dispatch(self, kind, kernel, monkeypatch):
-        """A server without the deltas form (400 on it) still serves probes."""
-        monkeypatch.setattr(_LegacyClient, "calls", {"delta": 0, "single": 0})
-        dispatcher = ClusterDispatcher(
-            ["127.0.0.1:9"], client_factory=_LegacyClient, retries=0
-        )
-        try:
-            probes = _probes(kind, kernel)[:2]
-            jobs = [AnalysisJob(problem=p, index=i) for i, p in enumerate(probes)]
-            schedules = dispatcher.run(jobs)
-        finally:
-            dispatcher.close()
-        assert _LegacyClient.calls == {"delta": 1, "single": 2}
-        _assert_matches_local(probes, schedules)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_remote_backend_is_bit_identical_and_batched(self, kind, server, kernel):
-        probes = _probes(kind, kernel)
-        requests_before = server._requests
-        with EngineRuntime(backend="remote", endpoints=[server.url]) as runtime:
-            remote = runtime.run(
-                [
-                    AnalysisJob(problem=p, algorithm="incremental", index=i)
-                    for i, p in enumerate(probes)
-                ]
-            )
-        _assert_matches_local(probes, remote)
-        # the whole same-parent generation travels as one /batch request
-        assert server._requests - requests_before < len(probes) + 1
-
-    def test_remote_search_is_bit_identical_and_delta_batched(self, server, problem):
-        serial = memory_sensitivity(problem)
-        requests_before = server._requests
-        with EngineRuntime(backend="remote", endpoints=[server.url]) as runtime:
-            remote = memory_sensitivity(problem, driver=SearchDriver(runtime=runtime))
-        assert remote == serial  # factor, makespan AND probe trace
-        # delta batching: whole generations travel as single /batch requests,
-        # so the HTTP request count stays below the probe count
-        assert server._requests - requests_before < len(serial.probes) + 1

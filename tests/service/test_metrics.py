@@ -7,6 +7,7 @@ import urllib.request
 
 import pytest
 
+from repro import analyze_many
 from repro.generators import fixed_ls_workload
 from repro.service import (
     AnalysisServer,
@@ -161,40 +162,35 @@ class TestRenderer:
             text = render_prometheus_metrics(stats)
             assert "repro_job_latency_seconds_bucket" not in text
 
-    def test_remote_backend_exports_endpoint_series(self):
-        runtime = {
-            **self.STATS["runtime"],
-            "backend": "remote",
-            "endpoints": [
-                {
-                    "url": "http://hostA:8517",
-                    "healthy": True,
-                    "outstanding": 2,
-                    "window": 4,
-                    "latency_ewma_seconds": 0.05,
-                    "jobs_completed": 5,
-                    "jobs_failed": 0,
-                    "endpoint_errors": 0,
-                    "quarantines": 0,
-                },
-                {
-                    "url": "http://hostB:8517",
-                    "healthy": False,
-                    "outstanding": 0,
-                    "window": 4,
-                    "latency_ewma_seconds": None,
-                    "jobs_completed": 0,
-                    "jobs_failed": 2,
-                    "endpoint_errors": 2,
-                    "quarantines": 1,
-                },
-            ],
-        }
-        samples = _parse(render_prometheus_metrics({**self.STATS, "runtime": runtime}))
-        assert samples['repro_cluster_endpoint_healthy{endpoint="http://hostA:8517"}'] == 1
-        assert samples['repro_cluster_endpoint_healthy{endpoint="http://hostB:8517"}'] == 0
-        assert samples['repro_cluster_endpoint_jobs_completed_total{endpoint="http://hostA:8517"}'] == 5
-        assert samples['repro_cluster_endpoint_errors_total{endpoint="http://hostB:8517"}'] == 2
+    def test_endpoint_records_from_an_older_server_are_not_rendered(self):
+        """A ``/stats`` document that still lists cluster endpoints renders
+        exactly like one without them."""
+        endpoints = [
+            {"url": "http://hostA:8517", "healthy": True, "jobs_completed": 3},
+            {"url": "http://hostB:8517", "healthy": False, "jobs_completed": 0},
+        ]
+        older = {**self.STATS, "runtime": {**self.STATS["runtime"], "endpoints": endpoints}}
+        text = render_prometheus_metrics(older)
+        assert text == render_prometheus_metrics(self.STATS)
+        assert "hostA" not in text and "endpoint" not in text
+
+    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    def test_live_runtime_stats_render_on_every_backend(self, backend):
+        problems = [
+            fixed_ls_workload(16, 4, core_count=4, seed=seed).to_problem() for seed in range(3)
+        ]
+        with EngineRuntime(backend=backend, max_workers=2) as runtime:
+            cold = runtime.stats().to_dict()
+            analyze_many(problems, runtime=runtime)
+            warm = runtime.stats().to_dict()
+        for record, jobs in ((cold, 0), (warm, 3)):
+            text = render_prometheus_metrics({"runtime": record})
+            samples = _parse(text)
+            assert samples["repro_runtime_jobs_completed_total"] == jobs
+            assert samples["repro_runtime_workers"] == (1 if backend == "inline" else 2)
+            assert f'backend="{backend}"' in text
+            assert "None" not in text and "NaN" not in text
+            assert "endpoint" not in text
 
 
 @pytest.fixture

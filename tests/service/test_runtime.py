@@ -16,7 +16,7 @@ from repro import BatchAnalyzer, analyze_many
 from repro.analysis import SearchDriver, memory_sensitivity, minimal_horizon
 from repro.core.analyzer import register_algorithm
 from repro.core.schedule import Schedule, ScheduledTask
-from repro.engine import ResultCache
+from repro.engine import ResultCache, default_worker_count
 from repro.engine.executor import START_METHOD_ENV
 from repro.engine.jobs import AnalysisJob
 from repro.errors import (
@@ -25,7 +25,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.generators import fixed_ls_workload
-from repro.service import EngineRuntime
+from repro.service import BACKENDS, EngineRuntime
 
 
 def _sweep(count: int, tasks: int = 16):
@@ -37,6 +37,10 @@ def _sweep(count: int, tasks: int = 16):
 
 def _entries(schedules):
     return [schedule.to_dict()["entries"] for schedule in schedules]
+
+
+def _jobs(problems):
+    return [AnalysisJob(problem=problem, index=index) for index, problem in enumerate(problems)]
 
 
 class TestBackends:
@@ -73,6 +77,32 @@ class TestBackends:
             schedules = analyze_many(_sweep(2), runtime=runtime)
         assert len(schedules) == 2
         assert runtime.pools_created == 0  # serial fallback, like run_jobs
+
+    def test_remote_backend_is_retired(self):
+        assert BACKENDS == ("process", "thread", "inline")
+        with pytest.raises(ServiceError, match="choose from process, thread, inline"):
+            EngineRuntime(backend="remote")
+
+    @pytest.mark.parametrize(
+        "parameter",
+        ["endpoints", "max_in_flight", "retries", "quarantine_seconds", "request_timeout"],
+    )
+    def test_retired_cluster_parameters_are_not_accepted(self, parameter):
+        with pytest.raises(TypeError, match=parameter):
+            EngineRuntime(backend="inline", **{parameter: 1})
+
+    @pytest.mark.parametrize(
+        "backend, max_workers, expected",
+        [("inline", 4, 1), ("thread", 3, 3), ("process", 2, 2)],
+    )
+    def test_worker_count(self, backend, max_workers, expected):
+        with EngineRuntime(backend=backend, max_workers=max_workers) as runtime:
+            assert runtime.workers == expected
+            assert runtime.stats().workers == expected
+
+    def test_default_worker_count_is_one_per_cpu(self):
+        with EngineRuntime(backend="thread") as runtime:
+            assert runtime.workers == default_worker_count()
 
 
 class TestWarmPoolReuse:
@@ -112,6 +142,19 @@ class TestWarmPoolReuse:
             horizons = [minimal_horizon(problem, driver=driver) for problem in problems]
             assert runtime.pools_created == 1
         assert horizons == [minimal_horizon(problem) for problem in problems]
+
+    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    def test_search_on_every_backend_matches_serial(self, backend):
+        problem = _sweep(1)[0]
+        problem = problem.with_horizon(int(minimal_horizon(problem) * 1.2))
+        serial = memory_sensitivity(
+            problem, max_factor=8.0, tolerance=0.25, driver=SearchDriver(batch=False)
+        )
+        with EngineRuntime(backend=backend, max_workers=2) as runtime:
+            warm = memory_sensitivity(
+                problem, max_factor=8.0, tolerance=0.25, driver=SearchDriver(runtime=runtime)
+            )
+        assert warm == serial  # breaking factor, makespan AND probe trace
 
 
 class TestRecycling:
@@ -154,6 +197,15 @@ class TestLifecycle:
         with pytest.raises(ServiceError, match="closed"):
             runtime.run([AnalysisJob(problem=_sweep(1)[0])])
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_closed_pooled_runtime_rejects_new_work(self, backend):
+        runtime = EngineRuntime(backend=backend, max_workers=2)
+        analyze_many(_sweep(2), runtime=runtime)
+        assert runtime.pools_created == 1
+        runtime.close()
+        with pytest.raises(ServiceError, match="closed"):
+            runtime.run(_jobs(_sweep(1)))
+
     def test_context_manager_closes(self):
         with EngineRuntime(backend="thread", max_workers=2) as runtime:
             analyze_many(_sweep(2), runtime=runtime)
@@ -194,6 +246,46 @@ class TestStats:
         assert record["pools_created"] == 0
         assert record["jobs_run"] == 0
         assert isinstance(record["cache"], dict)
+
+    #: the ``runtime`` section of ``GET /stats``, whatever the backend
+    STATS_KEYS = {
+        "analysis_backend",
+        "backend",
+        "batches",
+        "cache",
+        "generation_passes",
+        "jobs_completed",
+        "jobs_failed",
+        "jobs_run",
+        "jobs_since_recycle",
+        "kernel_compilations",
+        "latency_ewma_seconds",
+        "latency_histogram",
+        "pools_created",
+        "recycle_after",
+        "vector_sweeps",
+        "warm_start_hits",
+        "workers",
+    }
+
+    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    def test_stats_keys_are_the_same_on_every_backend(self, backend):
+        with EngineRuntime(backend=backend, max_workers=2) as runtime:
+            assert set(runtime.stats().to_dict()) == self.STATS_KEYS
+            runtime.run(_jobs(_sweep(2)))
+            assert set(runtime.stats().to_dict()) == self.STATS_KEYS
+
+    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    def test_telemetry_counts_jobs_on_every_backend(self, backend):
+        with EngineRuntime(backend=backend, max_workers=2) as runtime:
+            runtime.run(_jobs(_sweep(4)))
+            stats = runtime.stats()
+        assert stats.backend == backend
+        assert stats.batches == 1
+        assert stats.jobs_completed == 4
+        assert stats.jobs_failed == 0
+        assert stats.latency_ewma_seconds is not None
+        assert stats.latency_histogram["count"] == 4
 
     def test_failed_jobs_counted(self):
         def _failing(problem):

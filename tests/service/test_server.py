@@ -233,6 +233,16 @@ class TestErrors:
         with pytest.raises(ServiceError):
             ServiceClient("ftp://example.com")
 
+    def test_bare_host_port_needs_a_scheme(self):
+        with pytest.raises(ServiceError, match="http"):
+            ServiceClient("hostA:8517")
+
+    def test_base_url_is_trimmed_of_whitespace_and_trailing_slash(self, service):
+        server, _, _ = service
+        client = ServiceClient(f"  {server.url}/ ", timeout=10)
+        assert client.base_url == server.url
+        assert client.healthz()["status"] == "ok"
+
 
 class TestServerLifecycle:
     def test_close_is_idempotent(self, tmp_path):

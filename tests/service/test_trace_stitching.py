@@ -1,10 +1,11 @@
-"""Distributed-trace stitching: one cluster run must yield ONE trace.
+"""Distributed-trace stitching: one client-driven run must yield ONE trace.
 
-The acceptance scenario of the observability subsystem: a 2-endpoint cluster
-search traced from the client side produces a single trace id whose spans
-cover client, dispatcher, server, queue, runtime and analyzer layers, with
-the server-side spans parenting correctly under the client's request spans —
-and tracing must not perturb the analysis (verdicts bit-identical).
+The acceptance scenario of the observability subsystem: under one ``cli.*``
+root span, a client runs a search on one server and a delta batch on
+another.  The client-side trace has a single trace id whose spans cover
+client, server, queue, runtime and analyzer layers, with the server-side
+spans parenting correctly under the client's request spans — and tracing
+must not perturb the analysis (verdicts bit-identical).
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import pytest
 
 from repro import obs
 from repro.analysis import SearchDriver, memory_sensitivity
+from repro.core import compile_problem
 from repro.generators import fixed_ls_workload
-from repro.service import AnalysisServer, EngineRuntime
+from repro.service import AnalysisServer, EngineRuntime, ServiceClient
 
 
 @pytest.fixture
@@ -31,33 +33,34 @@ def _problem():
     return fixed_ls_workload(24, 4, core_count=4, seed=3).to_problem().with_horizon(100_000)
 
 
-def _traced_cluster_search(fleet):
-    runtime = EngineRuntime(backend="remote", endpoints=[s.url for s in fleet])
+def _traced_client_run(fleet):
+    """A served search on one server and a served delta batch on the other."""
+    problem = _problem()
+    kernel = compile_problem(problem)
+    probes = [
+        kernel.with_overlay(kernel.scaled_demand_overlay(factor), name=f"d-{factor}")
+        for factor in (1.0, 2.0)
+    ]
     tracer = obs.Tracer(service="cli")
-    try:
-        with tracer.activate():
-            with obs.span("cli.search"):
-                driver = SearchDriver("incremental", runtime=runtime)
-                result = memory_sensitivity(_problem(), driver=driver)
-    finally:
-        runtime.close()
+    with tracer.activate():
+        with obs.span("cli.search"):
+            result = ServiceClient(fleet[0].url).search(problem, kind="memory")
+            ServiceClient(fleet[1].url).analyze_many_deltas(probes)
     return tracer, result
 
 
-class TestClusterTraceStitching:
+class TestClientTraceStitching:
     def test_single_stitched_trace_covers_every_layer(self, fleet):
-        tracer, _ = _traced_cluster_search(fleet)
+        tracer, _ = _traced_client_run(fleet)
         spans = tracer.spans
         assert len({span.trace_id for span in spans}) == 1
 
         names = {span.name for span in spans}
-        # one span family per layer: client, dispatcher, server, queue,
-        # runtime, analyzer — plus the compile/fixed-point detail spans
+        # one span family per layer: client, server, queue, runtime,
+        # analyzer — plus the compile/event-loop detail spans
         for required in (
             "cli.search",
             "client.request",
-            "cluster.dispatch",
-            "cluster.unit",
             "http.request",
             "queue.wait",
             "runtime.batch",
@@ -72,7 +75,7 @@ class TestClusterTraceStitching:
         assert sum(1 for process in processes if process.startswith("server:")) == 2
 
     def test_no_orphan_spans_single_root(self, fleet):
-        tracer, _ = _traced_cluster_search(fleet)
+        tracer, _ = _traced_client_run(fleet)
         spans = tracer.spans
         ids = {span.span_id for span in spans}
         orphans = [
@@ -83,7 +86,7 @@ class TestClusterTraceStitching:
         assert [root.name for root in roots] == ["cli.search"]
 
     def test_server_spans_parent_under_client_requests(self, fleet):
-        tracer, _ = _traced_cluster_search(fleet)
+        tracer, _ = _traced_client_run(fleet)
         spans = tracer.spans
         by_id = {span.span_id: span for span in spans}
         http_spans = [span for span in spans if span.name == "http.request"]
@@ -108,18 +111,18 @@ class TestClusterTraceStitching:
                 )
 
     def test_verdicts_bit_identical_to_untraced_local_run(self, fleet):
-        _, traced = _traced_cluster_search(fleet)
+        _, traced = _traced_client_run(fleet)
         local = memory_sensitivity(
             _problem(), driver=SearchDriver("incremental", max_workers=1)
         )
-        assert traced.breaking_factor == local.breaking_factor
-        assert traced.makespan_at_break == local.makespan_at_break
-        assert traced.probes == local.probes
+        assert traced["breaking_factor"] == local.breaking_factor
+        assert traced["makespan_at_break"] == local.makespan_at_break
+        assert traced["probes"] == [[factor, ok] for factor, ok in local.probes]
 
     def test_exported_trace_validates_against_schema(self, fleet, tmp_path):
         import json
 
-        tracer, _ = _traced_cluster_search(fleet)
-        path = tmp_path / "cluster-trace.json"
+        tracer, _ = _traced_client_run(fleet)
+        path = tmp_path / "client-trace.json"
         obs.write_chrome_trace(tracer.spans, path)
         assert obs.validate_chrome_trace(json.loads(path.read_text())) == []
