@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .. import obs
 from ..core import AnalysisProblem, OverlayProblem, Schedule, analyze
 from ..core.analyzer import INCREMENTAL
-from ..engine import BatchAnalyzer, CacheStats, ResultCache, default_worker_count
+from ..engine import BatchAnalyzer, CacheStats, EngineRuntime, ResultCache
 from ..errors import AnalysisError
 
 __all__ = [
@@ -73,7 +73,7 @@ def adaptive_speculation(
     speculation only trades wasted probes for wall-clock.)
 
     ``latency_ewma_seconds`` — the observed per-probe analyzer latency, as a
-    warm :class:`repro.service.EngineRuntime` measures it — refines the pick:
+    warm :class:`repro.engine.EngineRuntime` measures it — refines the pick:
     every extra lookahead level halves the number of synchronization rounds a
     bisection needs but at most doubles the wasted probes, so while a whole
     extra rung (``2**(s+1)`` probes) costs less analyzer time than one
@@ -163,7 +163,7 @@ class SearchDriver:
     or a directory path for a persistent store.
 
     ``runtime`` binds the driver to a persistent
-    :class:`repro.service.EngineRuntime`: every generation then executes on
+    :class:`repro.engine.EngineRuntime`: every generation then executes on
     the runtime's warm pool — a whole multi-generation search performs zero
     pool constructions — and shares its result cache (unless an explicit
     ``cache`` is given).  ``speculation=None`` (the default) adapts the
@@ -182,10 +182,9 @@ class SearchDriver:
         batch: bool = True,
         max_workers: Optional[int] = None,
         cache: Union[ResultCache, str, None] = None,
-        chunksize: Optional[int] = None,
         speculation: Optional[int] = None,
         progress: Optional[SearchProgressCallback] = None,
-        runtime: Optional[object] = None,
+        runtime: Optional[EngineRuntime] = None,
     ) -> None:
         if speculation is not None and speculation < 0:
             raise AnalysisError(f"speculation must be >= 0, got {speculation}")
@@ -194,37 +193,26 @@ class SearchDriver:
         if runtime is not None and not self.batch:
             raise AnalysisError("a serial driver (batch=False) cannot use a runtime")
         self.runtime = runtime
-        if runtime is not None:
-            workers = int(runtime.workers)
-        elif max_workers is not None:
-            workers = int(max_workers)
-        else:
-            workers = default_worker_count()
-        self._workers = workers
+        self._analyzer: Optional[BatchAnalyzer] = (
+            BatchAnalyzer(algorithm, max_workers=max_workers, cache=cache, runtime=runtime)
+            if self.batch
+            else None
+        )
         #: bisection-lookahead levels per generation (0 in serial mode);
         #: defaults adaptively to the worker count — and, on a warm runtime,
         #: to the observed per-probe latency EWMA (re-picked per search by
         #: :meth:`begin_search`, so a long-lived driver deepens its lookahead
         #: as the runtime learns how cheap the probes actually are)
         self._adaptive = self.batch and speculation is None
-        if not self.batch:
+        if self._analyzer is None:
             self.speculation = 0
         elif speculation is None:
-            self.speculation = adaptive_speculation(workers, self._runtime_latency())
+            self.speculation = adaptive_speculation(
+                self._analyzer.workers, self._runtime_latency()
+            )
         else:
             self.speculation = int(speculation)
         self.progress = progress
-        self._analyzer: Optional[BatchAnalyzer] = (
-            BatchAnalyzer(
-                algorithm,
-                max_workers=max_workers,
-                cache=cache,
-                chunksize=chunksize,
-                runtime=runtime,
-            )
-            if self.batch
-            else None
-        )
         self.total_computed = 0
         self.total_cached = 0
         self._generation = 0
@@ -246,10 +234,7 @@ class SearchDriver:
         """Per-job latency EWMA of the bound runtime (None without one)."""
         if self.runtime is None:
             return None
-        try:
-            return self.runtime.stats().latency_ewma_seconds
-        except AttributeError:  # a runtime-like object without telemetry
-            return None
+        return self.runtime.stats().latency_ewma_seconds
 
     def begin_search(self) -> None:
         """Reset the per-search progress counters (called by search entry points).
@@ -263,7 +248,7 @@ class SearchDriver:
         """
         if self._adaptive:
             self.speculation = adaptive_speculation(
-                self._workers, self._runtime_latency()
+                self._analyzer.workers, self._runtime_latency()
             )
         self._generation = 0
         self._total_probes = 0

@@ -7,7 +7,7 @@ Sub-commands
 ``batch``      analyse many problem files through the parallel, cached batch engine
 ``search``     design-space search (sensitivity / minimal horizon) with batched probes
 ``serve``      boot the persistent analysis service (warm pool + HTTP JSON API)
-``cache``      inspect, migrate and prune the persistent result-cache store
+``cache``      inspect and prune the persistent result-cache store
 ``compare``    run both algorithms on a problem file and compare their schedules
 ``figure3``    reproduce one or all panels of Figure 3 of the paper
 ``headline``   reproduce the headline speedup table of Section V
@@ -230,19 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = subparsers.add_parser(
         "cache",
-        help="inspect, migrate and prune the persistent result-cache store",
+        help="inspect and prune the persistent result-cache store",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "examples:\n"
             "  repro-rta cache stats ~/.cache/repro\n"
-            "  repro-rta cache migrate ./old-json-cache ./cache.sqlite\n"
             "  repro-rta cache prune ~/.cache/repro --max-bytes 268435456\n"
             "\n"
             "Paths accept the same forms as --cache-dir everywhere: a\n"
             "directory (the store is <dir>/cache.sqlite), a .sqlite/.db\n"
-            "file, or a sqlite:// URL.  The store is always SQLite; a legacy\n"
-            "JSON cache directory is imported by 'migrate', or automatically\n"
-            "the first time it is opened as a cache directory.  See\n"
+            "file, or a sqlite:// URL.  The store is always SQLite.  See\n"
             "docs/architecture.md (Cache store)."
         ),
     )
@@ -251,13 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="report entries, bytes and hit telemetry of a cache store"
     )
     cache_stats.add_argument("path", help="cache directory, database file or sqlite:// URL")
-    cache_migrate = cache_commands.add_parser(
-        "migrate",
-        help="ingest a legacy JSON cache directory into a SQLite store (idempotent)",
-    )
-    cache_migrate.add_argument("json_dir", help="legacy JSON cache directory to read")
-    cache_migrate.add_argument("database", help="SQLite database (path or sqlite:// URL) to write")
-    cache_migrate.add_argument("--quiet", action="store_true", help="suppress progress output")
     cache_prune = cache_commands.add_parser(
         "prune", help="evict least-recently-used entries down to the given budgets"
     )
@@ -575,7 +565,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_cache(args: argparse.Namespace) -> int:
-    from ..engine.store import SqliteStore, migrate_json_dir, open_store
+    from ..engine.store import open_store
 
     if args.cache_command == "stats":
         store = open_store(args.path)
@@ -595,26 +585,6 @@ def _command_cache(args: argparse.Namespace) -> int:
             print(format_table(["field", "value"], rows))
         finally:
             store.close()
-        return 0
-
-    if args.cache_command == "migrate":
-        spec = str(args.database)
-        database = spec[len("sqlite://"):] if spec.startswith("sqlite://") else spec
-        store = SqliteStore(database)
-
-        def on_progress(done: int, total: int) -> None:
-            if not args.quiet:
-                print(f"\r[{done}/{total}] entries migrated   ", end="", file=sys.stderr, flush=True)
-
-        try:
-            migrated = migrate_json_dir(args.json_dir, store, progress=on_progress)
-            entries = store.entry_count()
-        finally:
-            store.close()
-        if not args.quiet:
-            print(file=sys.stderr)
-        # replace semantics make a re-run converge instead of duplicating
-        print(f"migrated {migrated} entr(ies) from {args.json_dir}; store now holds {entries}")
         return 0
 
     # prune

@@ -162,13 +162,7 @@ class CompiledProblem:
         n = len(names)
         index_of = self.index_of
         orders = dict(mapping.items())
-        # the task run just before each task on its core, in one pass over
-        # the per-core orders
-        core_pred_of: Dict[str, str] = {
-            task: previous
-            for order in orders.values()
-            for previous, task in zip(order, order[1:])
-        }
+        core_pred_of = mapping.core_predecessors()
         # effective predecessors: graph edges + the implicit same-core edge,
         # deduplicated (the core predecessor may also be a graph predecessor)
         preds: List[List[int]] = []

@@ -104,7 +104,15 @@ class AnalysisProblem:
 
     def effective_predecessor_map(self) -> Dict[str, Set[str]]:
         """``{task: effective predecessors}`` for every task (one dict, built once)."""
-        return {task.name: self.effective_predecessors(task.name) for task in self.graph}
+        core_pred_of = self.mapping.core_predecessors()
+        result: Dict[str, Set[str]] = {}
+        for task in self.graph:
+            preds = set(self.graph.predecessors(task.name))
+            core_pred = core_pred_of.get(task.name)
+            if core_pred is not None:
+                preds.add(core_pred)
+            result[task.name] = preds
+        return result
 
     def effective_successor_map(self) -> Dict[str, List[str]]:
         """Reverse of :meth:`effective_predecessor_map` (dependents of each task)."""

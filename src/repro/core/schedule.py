@@ -9,7 +9,7 @@ all tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import UnknownTaskError, ValidationError
@@ -240,6 +240,22 @@ class Schedule:
             core: sum(e.response_time for e in entries) / span
             for core, entries in self.by_core().items()
         }
+
+    def relabeled(self, problem_name: str) -> "Schedule":
+        """Copy of this schedule for ``problem_name``.
+
+        The frozen :class:`ScheduledTask` entries are shared (nothing outside
+        the constructor writes a schedule's entries); ``stats`` and
+        ``unscheduled`` are the copy's own, so a caller may mutate them.
+        """
+        clone = object.__new__(type(self))
+        clone._entries = self._entries
+        clone.algorithm = self.algorithm
+        clone.schedulable = self.schedulable
+        clone.unscheduled = list(self.unscheduled)
+        clone.stats = replace(self.stats)
+        clone.problem_name = problem_name
+        return clone
 
     # ------------------------------------------------------------------
     # serialization

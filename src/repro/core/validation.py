@@ -67,10 +67,11 @@ def schedule_violations(problem: AnalysisProblem, schedule: Schedule) -> List[st
     scheduled_names = set(schedule.task_names())
 
     # -- precedence ------------------------------------------------------------
+    predecessors = problem.effective_predecessor_map()
     for entry in schedule:
         if entry.name not in graph:
             continue
-        for pred in problem.effective_predecessors(entry.name):
+        for pred in predecessors[entry.name]:
             if pred not in scheduled_names:
                 if schedule.schedulable:
                     violations.append(

@@ -31,8 +31,8 @@ Generation batching
 (same compiled kernel, k parameter probes) as one 2-D ``(probes × tasks)``
 array pass: probes advance their Jacobi iterations in lockstep, each with its
 own convergence mask and counters, so one bisection generation costs one
-batched pass instead of k scalar analyses.  :class:`~repro.service.EngineRuntime`
-and :func:`repro.engine.run_jobs` route eligible cache-miss batches here
+batched pass instead of k scalar analyses.  :meth:`repro.engine.EngineRuntime.run`
+routes eligible cache-miss batches here
 automatically (and therefore so do ``SearchDriver``/``bracket_search``
 generations and the server's ``POST /batch`` overlay form).
 

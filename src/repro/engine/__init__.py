@@ -9,8 +9,12 @@ throughput-oriented service layer:
   over a persistent WAL-mode SQLite :mod:`repro.engine.store`) keyed by
   digest + algorithm + schema version, with batched ``get_many``/``put_many``
   lookups;
-* :mod:`repro.engine.executor` — process-pool fan-out with chunking,
-  deterministic result ordering and streaming progress callbacks;
+* :mod:`repro.engine.executor` — chunked pool fan-out with deterministic
+  result ordering and streaming progress callbacks;
+* :mod:`repro.engine.runtime` — :class:`EngineRuntime`, the one code path
+  that executes a list of jobs: a persistent worker pool (``process`` /
+  ``thread`` / ``inline`` backends, worker recycling, shared result cache,
+  :class:`RuntimeStats` telemetry), or a transient one opened per call;
 * :mod:`repro.engine.batch` — the high-level :func:`analyze_many` /
   :class:`BatchAnalyzer` front door.
 """
@@ -19,25 +23,27 @@ from __future__ import annotations
 
 from .batch import BatchAnalyzer, BatchReport, analyze_many
 from .cache import CacheStats, ResultCache
-from .executor import ProgressCallback, ProgressEvent, default_worker_count, run_jobs
+from .executor import ProgressCallback, ProgressEvent, default_worker_count
 from .jobs import SCHEMA_VERSION, AnalysisJob, canonical_problem_dict, problem_digest
-from .store import SqliteStore, migrate_json_dir, open_store
+from .runtime import BACKENDS, EngineRuntime, RuntimeStats
+from .store import SqliteStore, open_store
 
 __all__ = [
+    "BACKENDS",
     "AnalysisJob",
     "BatchAnalyzer",
     "BatchReport",
     "CacheStats",
+    "EngineRuntime",
     "ProgressCallback",
     "ProgressEvent",
     "ResultCache",
+    "RuntimeStats",
     "SCHEMA_VERSION",
     "SqliteStore",
     "analyze_many",
     "canonical_problem_dict",
     "default_worker_count",
-    "migrate_json_dir",
     "open_store",
     "problem_digest",
-    "run_jobs",
 ]

@@ -7,8 +7,9 @@ This is the throughput-oriented front door of the engine.  A batch run
    (content digest + algorithm + schema version) — hits never reach a worker,
    and content-identical problems submitted in the same batch are analysed
    only once,
-3. fans the misses out over the process pool of
-   :mod:`repro.engine.executor` (or runs them serially for ``max_workers=1``),
+3. runs the misses on an :class:`~repro.engine.EngineRuntime` — the bound
+   one, or one opened for this call and closed when it returns (serially,
+   with no pool, for ``max_workers=1``),
 4. stores fresh results back into the cache, and
 5. returns schedules in the order the problems were submitted.
 
@@ -33,9 +34,9 @@ from .executor import (
     ProgressEvent,
     _summarize,
     default_worker_count,
-    run_jobs,
 )
 from .jobs import AnalysisJob
+from .runtime import EngineRuntime
 
 __all__ = ["BatchReport", "BatchAnalyzer", "analyze_many"]
 
@@ -74,18 +75,20 @@ class BatchAnalyzer:
     :param algorithm: registry name of the analysis algorithm every job runs.
     :param max_workers: process-pool size for cache misses; ``None`` uses one
         worker per CPU, ``1`` runs strictly serially (no pool).  Must not be
-        combined with ``runtime``.
+        combined with ``runtime``.  Without a ``runtime``, each :meth:`run`
+        opens an :class:`~repro.engine.EngineRuntime` with at most this many
+        workers and closes it before returning.
     :param cache: a :class:`ResultCache`, a directory path (a persistent
         cache is created there), or ``None`` for a fresh memory-only cache.
     :param chunksize: jobs per worker chunk; ``None`` picks one that gives
         each worker a few chunks.
     :param runtime: binds the analyzer to a persistent
-        :class:`repro.service.EngineRuntime` instead of the per-call process
-        pool: cache misses then execute on the runtime's warm workers (zero
-        pool constructions per batch) and, unless an explicit ``cache`` is
-        given, the runtime's shared result cache is used.  Worker count and
-        pool backend are the runtime's.
-    :raises EngineError: when ``max_workers`` is passed alongside ``runtime``.
+        :class:`~repro.engine.EngineRuntime`: cache misses then execute on the
+        runtime's warm workers (zero pool constructions per batch) and, unless
+        an explicit ``cache`` is given, the runtime's shared result cache is
+        used.  Worker count and pool backend are the runtime's.
+    :raises EngineError: when ``max_workers`` is passed alongside ``runtime``,
+        or is below 1.
 
     :meth:`run` returns a :class:`BatchReport` and raises
     :class:`~repro.errors.BatchExecutionError` on partial failure (completed
@@ -99,8 +102,10 @@ class BatchAnalyzer:
         max_workers: Optional[int] = None,
         cache: Union[ResultCache, PathLike, None] = None,
         chunksize: Optional[int] = None,
-        runtime: Optional[object] = None,
+        runtime: Optional[EngineRuntime] = None,
     ) -> None:
+        if max_workers is not None and max_workers < 1:
+            raise EngineError(f"max_workers must be >= 1, got {max_workers}")
         self.algorithm = algorithm
         self.runtime = runtime
         if runtime is not None:
@@ -111,7 +116,9 @@ class BatchAnalyzer:
                 )
             if cache is None:
                 cache = runtime.cache  # one cache shared by every runtime client
-        self.max_workers = max_workers
+            max_workers = runtime.workers
+        #: configured worker count (what adaptive speculation scales from)
+        self.workers = default_worker_count() if max_workers is None else int(max_workers)
         self.chunksize = chunksize
         if isinstance(cache, ResultCache):
             self.cache = cache
@@ -169,9 +176,7 @@ class BatchAnalyzer:
                 # the digest is content-based: a hit may have been produced
                 # under another problem name, so relabel for this caller —
                 # every position gets its own copy (schedules are mutable)
-                clone = Schedule.from_dict(hit.to_dict())
-                clone.problem_name = job.name
-                schedules[job.index] = clone
+                schedules[job.index] = hit.relabeled(job.name)
                 hits += 1
             elif key in pending:
                 # identical problem already queued in this batch: analyse it once
@@ -196,20 +201,19 @@ class BatchAnalyzer:
                         )
                     )
 
+            # without a bound runtime, a transient one lives for this call
+            # only, sized to the misses (one worker: no pool at all)
+            runtime = self.runtime
+            if runtime is None:
+                runtime = EngineRuntime(
+                    max_workers=min(self.workers, len(misses)), cache=self.cache
+                )
             try:
-                if self.runtime is not None:
-                    fresh = self.runtime.run(
-                        misses,
-                        chunksize=self.chunksize,
-                        progress=on_progress if progress is not None else None,
-                    )
-                else:
-                    fresh = run_jobs(
-                        misses,
-                        max_workers=self.max_workers,
-                        chunksize=self.chunksize,
-                        progress=on_progress if progress is not None else None,
-                    )
+                fresh = runtime.run(
+                    misses,
+                    chunksize=self.chunksize,
+                    progress=on_progress if progress is not None else None,
+                )
             except BatchExecutionError as exc:
                 # keep (and cache) what completed; re-raise below with the
                 # miss-list positions translated back to batch indices
@@ -218,6 +222,9 @@ class BatchAnalyzer:
                     miss_order[position]: message
                     for position, message in exc.failures.items()
                 }
+            finally:
+                if runtime is not self.runtime:
+                    runtime.close()
             fresh_entries = []
             for original_index, schedule in zip(miss_order, fresh):
                 if schedule is None:
@@ -245,9 +252,7 @@ class BatchAnalyzer:
                 # the job computing this duplicate's content failed; mark the
                 # duplicate as failed too (below) rather than silently None
                 continue
-            clone = Schedule.from_dict(source.to_dict())
-            clone.problem_name = jobs[index].name
-            schedules[index] = clone
+            schedules[index] = source.relabeled(jobs[index].name)
         if progress is not None and duplicates:
             progress(ProgressEvent(done=total, total=total, job_name="(deduplicated)"))
 
@@ -268,11 +273,7 @@ class BatchAnalyzer:
 
         if any(schedule is None for schedule in schedules):
             raise EngineError("batch run finished with missing results")
-        if self.runtime is not None:
-            configured = int(self.runtime.workers)
-        else:
-            configured = default_worker_count() if self.max_workers is None else int(self.max_workers)
-        workers = min(configured, len(misses)) if misses else 0  # workers actually used
+        workers = min(self.workers, len(misses)) if misses else 0  # workers actually used
         return BatchReport(
             schedules=schedules,  # type: ignore[arg-type]
             algorithm=self.algorithm,
@@ -291,7 +292,7 @@ def analyze_many(
     cache: Union[ResultCache, PathLike, None] = None,
     chunksize: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    runtime: Optional[object] = None,
+    runtime: Optional[EngineRuntime] = None,
 ) -> List[Schedule]:
     """Analyse many problems at once; returns schedules in submission order.
 
@@ -304,13 +305,14 @@ def analyze_many(
         the order of the returned schedules).
     :param algorithm: registry name of the analysis algorithm.
     :param max_workers: pool size; ``None`` uses one worker per CPU,
-        ``1`` is a strictly serial fallback.  Not combinable with ``runtime``.
+        ``1`` is a strictly serial fallback.  The pool lives for this call
+        only.  Not combinable with ``runtime``.
     :param cache: :class:`~repro.engine.ResultCache` or directory path for a
         persistent cache shared across runs; ``None`` = fresh memory cache.
     :param chunksize: jobs per worker chunk (``None`` = automatic).
     :param progress: streamed :class:`~repro.engine.ProgressEvent` callback.
     :param runtime: execute on a persistent
-        :class:`repro.service.EngineRuntime` (warm pool, shared cache)
+        :class:`~repro.engine.EngineRuntime` (warm pool, shared cache)
         instead of a per-call pool.
     :raises BatchExecutionError: when some jobs failed; completed schedules
         are preserved on ``results`` (and cached) with messages per

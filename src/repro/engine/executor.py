@@ -1,17 +1,18 @@
-"""Process-pool fan-out for analysis jobs.
+"""Chunked fan-out for analysis jobs, driven by :class:`~repro.engine.EngineRuntime`.
 
-:func:`run_jobs` executes a list of :class:`~repro.engine.jobs.AnalysisJob`
-across a :class:`concurrent.futures.ProcessPoolExecutor`:
+:func:`run_jobs_on` executes a list of :class:`~repro.engine.jobs.AnalysisJob`
+on an executor the caller owns (the runtime's process or thread pool):
 
 * jobs are grouped into *chunks* so per-task IPC overhead is amortized over
   many small problems (one pickled payload round-trip per chunk, not per job);
 * results are restored to **submission order** no matter which worker finishes
   first, so a parallel sweep is a drop-in replacement for a serial loop;
 * an optional ``progress`` callback receives :class:`ProgressEvent` updates as
-  chunks complete (streamed, not buffered until the end);
-* ``max_workers=1`` falls back to a plain in-process loop — no pool, no
-  serialization, same results — which is also the safe mode on platforms
-  where forking is undesirable.
+  chunks complete (streamed, not buffered until the end).
+
+:func:`run_jobs_serial` is the same contract as a plain in-process loop — no
+pool, no serialization, same results — and :func:`run_generation_batched` the
+one-array-pass shortcut for an eligible overlay generation.
 
 Workers rebuild each problem from its JSON payload (see
 :meth:`AnalysisJob.from_payload`) and resolve the algorithm through the
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from time import perf_counter as _perf_counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -45,7 +46,6 @@ __all__ = [
     "START_METHOD_ENV",
     "default_worker_count",
     "run_generation_batched",
-    "run_jobs",
     "run_jobs_on",
     "run_jobs_serial",
 ]
@@ -179,10 +179,10 @@ def run_jobs_serial(
 ) -> List[Schedule]:
     """Run ``jobs`` serially in-process: same registry path, no pool overhead.
 
-    The serial fallback of :func:`run_jobs` (``max_workers=1``) and of the
-    ``inline`` backend of :class:`repro.service.EngineRuntime`.  Failure
-    semantics match the pooled path: every job runs, a
-    :class:`~repro.errors.BatchExecutionError` is raised at the end.
+    What :class:`~repro.engine.EngineRuntime` runs when it has no pool (the
+    ``inline`` backend, or one worker).  Failure semantics match the pooled
+    path: every job runs, a :class:`~repro.errors.BatchExecutionError` is
+    raised at the end.
     """
     jobs = list(jobs)
     total = len(jobs)
@@ -217,15 +217,13 @@ def run_jobs_on(
     """Run ``jobs`` on an already-constructed executor, in submission order.
 
     ``pool`` is anything with the :class:`concurrent.futures.Executor`
-    ``submit`` interface — the transient :class:`ProcessPoolExecutor` of
-    :func:`run_jobs`, or the persistent process/thread pool owned by a
-    :class:`repro.service.EngineRuntime`.  The pool is *not* shut down here;
-    its lifetime belongs to the caller (which is exactly what makes warm
-    reuse across batches possible).  ``workers`` sizes the default chunking
-    so each worker gets a few chunks.
+    ``submit`` interface — in practice the process or thread pool owned by
+    an :class:`~repro.engine.EngineRuntime`.  The pool is *not* shut down
+    here; its lifetime belongs to the caller (which is exactly what makes
+    warm reuse across batches possible).  ``workers`` sizes the default
+    chunking so each worker gets a few chunks; a given ``chunksize`` is at
+    least 1 (:meth:`EngineRuntime.run` checks it).
     """
-    if chunksize is not None and chunksize < 1:
-        raise EngineError(f"chunksize must be >= 1, got {chunksize}")
     jobs = list(jobs)
     total = len(jobs)
     if total == 0:
@@ -319,52 +317,6 @@ def run_jobs_on(
             results=results,
         )
     return results  # type: ignore[return-value]
-
-
-def run_jobs(
-    jobs: Sequence[AnalysisJob],
-    *,
-    max_workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[Schedule]:
-    """Run ``jobs`` and return their schedules in submission order.
-
-    ``max_workers=None`` uses :func:`default_worker_count`; ``max_workers=1``
-    runs serially in-process.  ``chunksize=None`` picks a chunk size that
-    gives each worker a few chunks (load balancing without per-job IPC).
-
-    The pool is constructed and torn down per call; long-lived callers that
-    run many batches should hold a :class:`repro.service.EngineRuntime`
-    instead, which keeps one warm pool across calls.
-
-    A failing job does not abort the batch: every other job still runs, and a
-    :class:`~repro.errors.BatchExecutionError` carrying the completed
-    schedules (``.results``, ``None`` at failed positions) and the failure
-    messages (``.failures``) is raised at the end.
-    """
-    if max_workers is not None and max_workers < 1:
-        raise EngineError(f"max_workers must be >= 1, got {max_workers}")
-    if chunksize is not None and chunksize < 1:
-        raise EngineError(f"chunksize must be >= 1, got {chunksize}")
-    jobs = list(jobs)
-    total = len(jobs)
-    if total == 0:
-        return []
-    batched = run_generation_batched(jobs, progress)
-    if batched is not None:
-        return batched
-    workers = default_worker_count() if max_workers is None else int(max_workers)
-    workers = min(workers, total)
-
-    if workers == 1:
-        # serial fallback: same jobs, same registry path, no pool overhead
-        return run_jobs_serial(jobs, progress)
-
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
-        return run_jobs_on(
-            pool, jobs, workers=workers, chunksize=chunksize, progress=progress
-        )
 
 
 def _summarize(failures: Dict[int, str], limit: int = 3) -> str:

@@ -1,36 +1,41 @@
-"""Persistent analysis runtime: one warm worker pool shared across batches.
+"""Execution runtime: the one code path that runs a list of analysis jobs.
 
-Every :func:`repro.engine.run_jobs` call — and therefore every
-:meth:`BatchAnalyzer.run` and every :meth:`SearchDriver.evaluate` generation —
-builds and tears down a fresh :class:`~concurrent.futures.ProcessPoolExecutor`.
-For small generations (a bisection search probes 2–3 problems per round) pool
-startup dominates the useful work, dramatically so under the ``spawn`` start
-method where every worker boots a fresh interpreter.
+Every batch of jobs — a :meth:`BatchAnalyzer.run`, a
+:meth:`SearchDriver.evaluate` generation, a drain of the
+:mod:`repro.service` job queue — executes through :meth:`EngineRuntime.run`;
+only the runtime's lifetime differs.  A *bound* runtime
+(``BatchAnalyzer(runtime=...)``, ``SearchDriver(runtime=...)``,
+``repro-rta serve``) owns **one** pool for its whole lifetime, so small
+generations (a bisection search probes 2–3 problems per round) do not pay
+pool startup every round — dramatically so under the ``spawn`` start method,
+where every worker boots a fresh interpreter.  Without one,
+:class:`~repro.engine.BatchAnalyzer` opens a *transient* runtime sized to a
+call's cache misses and closes it when the call returns.
 
-An :class:`EngineRuntime` fixes that by owning **one** pool for its whole
-lifetime:
+An :class:`EngineRuntime` has:
 
-* pluggable backend — ``process`` (default; true parallelism),
+* a pluggable backend — ``process`` (default; true parallelism),
   ``thread`` (no pickling, useful for GIL-releasing plug-ins and tests) or
   ``inline`` (no pool at all: strictly serial, deterministic debugging mode);
-* the pool is built lazily on first use and reused by every subsequent batch —
+  one worker also means no pool;
+* a pool built lazily on first use and reused by every subsequent batch —
   a warm three-generation search performs **zero** additional pool
   constructions (:attr:`EngineRuntime.pools_created` counts them, which is
   also the test hook the acceptance suite asserts on);
-* workers are *recycled* after ``recycle_after`` jobs: at the next idle batch
+* worker *recycling* after ``recycle_after`` jobs: at the next idle batch
   boundary the pool is torn down and rebuilt, bounding memory growth of
   long-resident services;
-* a shared :class:`~repro.engine.ResultCache` rides along so every client of
-  the runtime (batches, searches, the :mod:`repro.service` job queue and API
+* a shared :class:`~repro.engine.ResultCache`, so every client of the
+  runtime (batches, searches, the :mod:`repro.service` job queue and API
   server) hits one cache;
-* :meth:`EngineRuntime.stats` returns a :class:`RuntimeStats` telemetry
-  snapshot — jobs run, failures, cache hit/miss counters, and an EWMA of the
-  per-job analyzer latency (from each schedule's in-worker wall time).
+* :meth:`EngineRuntime.stats`, a :class:`RuntimeStats` telemetry snapshot —
+  jobs run, failures, cache hit/miss counters, and an EWMA of the per-job
+  analyzer latency (from each schedule's in-worker wall time).
 
-Results are **bit-identical** to the transient-pool and serial paths: the
-runtime reuses the engine's own chunked executor
-(:func:`repro.engine.executor.run_jobs_on`), so only the pool's lifetime
-changes, never the job semantics.
+Results are **bit-identical** on every backend and pool lifetime: the
+runtime drives the engine's own chunked executor
+(:func:`repro.engine.executor.run_jobs_on`) or its serial loop, so only the
+pool's lifetime changes, never the job semantics.
 
 The runtime is thread-safe: concurrent ``run()`` calls share the pool (the
 API server handles requests on multiple threads).  Use it as a context
@@ -52,8 +57,9 @@ from ..core.vector import (
     resolve_backend,
     vector_sweep_count,
 )
-from ..engine.cache import PathLike, ResultCache
-from ..engine.executor import (
+from ..errors import AnalysisError, BatchExecutionError, EngineError, ServiceError
+from .cache import PathLike, ResultCache
+from .executor import (
     ProgressCallback,
     _pool_context,
     default_worker_count,
@@ -61,13 +67,15 @@ from ..engine.executor import (
     run_jobs_on,
     run_jobs_serial,
 )
-from ..engine.jobs import AnalysisJob
-from ..errors import AnalysisError, BatchExecutionError, ServiceError
+from .jobs import AnalysisJob
 
 __all__ = ["BACKENDS", "RuntimeStats", "EngineRuntime"]
 
 #: supported worker-pool backends
 BACKENDS = ("process", "thread", "inline")
+
+#: EWMA factor of the per-job latency telemetry
+_LATENCY_SMOOTHING = 0.2
 
 
 def _analysis_backend() -> str:
@@ -155,14 +163,12 @@ class RuntimeStats:
 
 
 class EngineRuntime:
-    """Long-lived execution runtime owning one persistent worker pool.
+    """Execution runtime owning one worker pool for its whole lifetime.
 
     :param backend: pool flavour — ``process`` (default), ``thread`` or
         ``inline`` (strictly serial, no pool).
-    :param max_workers: worker count; ``None`` uses one per CPU.  Not
-        meaningful with ``inline``.
-    :param chunksize: jobs per worker chunk on the pooled backends; ``None``
-        picks one that gives each worker a few chunks.
+    :param max_workers: worker count; ``None`` uses one per CPU, ``1`` runs
+        serially with no pool.  Not meaningful with ``inline``.
     :param recycle_after: tear the pool down and rebuild it once at least
         this many jobs ran on it, at the next idle batch boundary (bounds
         worker memory growth); ``None`` never recycles.
@@ -171,7 +177,6 @@ class EngineRuntime:
         every :class:`~repro.engine.BatchAnalyzer` and
         :class:`~repro.analysis.SearchDriver` bound to this runtime (unless
         they were given their own).
-    :param latency_smoothing: EWMA factor of the per-job latency telemetry.
     :raises ServiceError: on an unknown backend or an out-of-range parameter.
     """
 
@@ -180,10 +185,8 @@ class EngineRuntime:
         *,
         backend: str = "process",
         max_workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         recycle_after: Optional[int] = None,
         cache: Union[ResultCache, PathLike, None] = None,
-        latency_smoothing: float = 0.2,
     ) -> None:
         backend = str(backend).strip().lower()
         if backend not in BACKENDS:
@@ -192,14 +195,8 @@ class EngineRuntime:
             )
         if max_workers is not None and max_workers < 1:
             raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ServiceError(f"chunksize must be >= 1, got {chunksize}")
         if recycle_after is not None and recycle_after < 1:
             raise ServiceError(f"recycle_after must be >= 1, got {recycle_after}")
-        if not (0.0 < latency_smoothing <= 1.0):
-            raise ServiceError(
-                f"latency_smoothing must be in (0, 1], got {latency_smoothing}"
-            )
         self.backend = backend
         if backend == "inline":
             self.max_workers = 1
@@ -207,10 +204,8 @@ class EngineRuntime:
             self.max_workers = (
                 default_worker_count() if max_workers is None else int(max_workers)
             )
-        self.chunksize = chunksize
         self.recycle_after = recycle_after
         self.cache = cache if isinstance(cache, ResultCache) else ResultCache(path=cache)
-        self._latency_smoothing = float(latency_smoothing)
         self._latency_ewma: Optional[float] = None
         self._latency_histogram = obs.Histogram()
         #: worker pools constructed so far — the acceptance-test hook proving
@@ -318,17 +313,24 @@ class EngineRuntime:
         chunksize: Optional[int] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> List[Schedule]:
-        """Run ``jobs`` on the warm pool; semantics match :func:`~repro.engine.run_jobs`.
+        """Run ``jobs`` and return their schedules in submission order.
 
-        Results come back in submission order; a failing job does not abort
-        the batch (a :class:`~repro.errors.BatchExecutionError` carrying the
+        An eligible overlay generation runs as one array pass; otherwise the
+        jobs run on the warm pool, or serially in-process when the runtime
+        has no pool (``inline`` backend or one worker).  ``chunksize=None``
+        picks a chunk size that gives each worker a few chunks (load
+        balancing without per-job IPC).  A failing job does not abort the
+        batch (a :class:`~repro.errors.BatchExecutionError` carrying the
         completed schedules is raised at the end).  Thread-safe: concurrent
         batches share the pool.
 
         :raises ServiceError: if the runtime is closed.
+        :raises EngineError: if ``chunksize`` is below 1.
         :raises BatchExecutionError: when some jobs failed; ``results`` holds
             the completed schedules, ``failures`` the per-index messages.
         """
+        if chunksize is not None and chunksize < 1:
+            raise EngineError(f"chunksize must be >= 1, got {chunksize}")
         jobs = list(jobs)
         if not jobs:
             return []
@@ -357,7 +359,7 @@ class EngineRuntime:
                         pool,
                         jobs,
                         workers=min(self.max_workers, len(jobs)),
-                        chunksize=chunksize if chunksize is not None else self.chunksize,
+                        chunksize=chunksize,
                         progress=progress,
                     )
             except BatchExecutionError as exc:
@@ -385,7 +387,7 @@ class EngineRuntime:
                 if self._latency_ewma is None:
                     self._latency_ewma = observed
                 else:
-                    alpha = self._latency_smoothing
+                    alpha = _LATENCY_SMOOTHING
                     self._latency_ewma = alpha * observed + (1 - alpha) * self._latency_ewma
 
     # ------------------------------------------------------------------

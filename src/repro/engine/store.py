@@ -14,15 +14,8 @@ quarantined into a ``quarantine`` table and read as misses.
 ========================  =====================================================
 ``sqlite:///path/to.db``  SQLite database at that path
 ``path/to/file.sqlite``   SQLite database (``.sqlite`` / ``.sqlite3`` / ``.db``)
-``path/to/dir``           SQLite database at ``dir/cache.sqlite``; the first
-                          open one-shot-migrates any legacy JSON entry files
-                          found in ``dir``
+``path/to/dir``           SQLite database at ``dir/cache.sqlite``
 ========================  =====================================================
-
-Legacy caches were one JSON file per entry; :func:`migrate_json_dir` reads
-them, both for that one-shot migration and for ``repro-rta cache migrate``,
-so pointing a new build at an old cache directory transparently ingests the
-old entries.
 
 The store shares one :class:`~repro.engine.cache.CacheStats` object with its
 owning cache and feeds the ``corrupt`` / ``evictions`` / ``transactions``
@@ -32,7 +25,6 @@ second bookkeeping layer.
 
 from __future__ import annotations
 
-import json
 import marshal
 import sqlite3
 import sys
@@ -49,7 +41,6 @@ __all__ = [
     "RECORD_FORMAT",
     "SqliteStore",
     "open_store",
-    "migrate_json_dir",
 ]
 
 PathLike = Union[str, Path]
@@ -73,18 +64,8 @@ RECORD_FORMAT = "marshal:%d.%d:%d" % (
 #: database filename used when the cache path is a *directory*
 SQLITE_DB_NAME = "cache.sqlite"
 
-#: envelope format of a legacy JSON entry file (read by migrate_json_dir)
-_ENTRY_FORMAT = "repro-cache-entry"
-
-_HEX_DIGITS = set("0123456789abcdef")
-
 #: exceptions that mean "this schedule record is malformed", i.e. corrupt
 _SCHEDULE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ValidationError)
-
-
-def _is_entry_name(stem: str) -> bool:
-    """True for the SHA-256 hex stems of legacy JSON entry files."""
-    return len(stem) == 64 and set(stem) <= _HEX_DIGITS
 
 
 def _decode_schedule(record: object) -> Optional[Schedule]:
@@ -508,104 +489,12 @@ class SqliteStore:
 
         return int(self._execute(count))
 
-    # -- migration -----------------------------------------------------
-
-    _MIGRATED_META_KEY = "migrated-json-dir"
-
-    def auto_migrate_json_dir(self, directory: PathLike) -> int:
-        """One-shot ingestion of a legacy JSON cache directory.
-
-        Called when the cache path is a *directory*: the first open against
-        an old JSON cache pulls every valid entry file into the database,
-        then records the fact in the ``meta`` table so later opens skip the
-        scan.  The JSON files are left untouched.
-        """
-
-        def already(cursor: sqlite3.Cursor) -> bool:
-            return (
-                cursor.execute(
-                    "SELECT 1 FROM meta WHERE key = ?", (self._MIGRATED_META_KEY,)
-                ).fetchone()
-                is not None
-            )
-
-        if bool(self._execute(already)):
-            return 0
-        migrated = migrate_json_dir(directory, self)
-
-        def mark(cursor: sqlite3.Cursor) -> None:
-            cursor.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                (self._MIGRATED_META_KEY, str(migrated)),
-            )
-
-        self._execute(mark)
-        return migrated
-
     def close(self) -> None:
         with self._db_lock:
             try:
                 self._db.close()
             except sqlite3.Error:
                 pass
-
-
-def migrate_json_dir(
-    directory: PathLike,
-    store: SqliteStore,
-    *,
-    batch_size: int = 512,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> int:
-    """Ingest every valid JSON entry file of ``directory`` into ``store``.
-
-    Idempotent: entries are written with replace semantics, so a re-run
-    converges to the same database.  Invalid files (corrupt JSON, foreign
-    envelopes, malformed schedules) are skipped, never deleted.  Returns the
-    number of entries ingested; ``progress(done, total)`` streams migration
-    progress for the CLI.
-    """
-    directory = Path(directory).expanduser()
-    entry_files = sorted(
-        entry for entry in directory.glob("*.json") if _is_entry_name(entry.stem)
-    )
-    total = len(entry_files)
-    migrated = 0
-    batch: List[Tuple[str, Dict[str, object], Optional[Tuple[str, str]]]] = []
-    for position, entry in enumerate(entry_files, start=1):
-        try:
-            document = json.loads(entry.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        if (
-            not isinstance(document, dict)
-            or document.get("format") != _ENTRY_FORMAT
-            or not isinstance(document.get("key"), str)
-        ):
-            continue
-        record = document.get("schedule")
-        if _decode_schedule(record) is None:
-            continue
-        structure = document.get("structure")
-        overlay = document.get("overlay")
-        split = (
-            (str(structure), str(overlay))
-            if isinstance(structure, str) and isinstance(overlay, str)
-            else None
-        )
-        batch.append((document["key"], record, split))
-        if len(batch) >= batch_size:
-            store.put_many(batch)
-            migrated += len(batch)
-            batch = []
-            if progress is not None:
-                progress(position, total)
-    if batch:
-        store.put_many(batch)
-        migrated += len(batch)
-    if progress is not None:
-        progress(total, total)
-    return migrated
 
 
 def open_store(
@@ -619,9 +508,8 @@ def open_store(
 
     A ``sqlite://`` prefix or a ``.sqlite`` / ``.sqlite3`` / ``.db`` suffix
     names the database file itself; any other path is a cache *directory*
-    holding ``cache.sqlite``, with a one-shot migration of legacy JSON
-    entries found there.  ``max_entries`` / ``max_bytes`` are the store's
-    size budgets.
+    holding ``cache.sqlite``.  ``max_entries`` / ``max_bytes`` are the
+    store's size budgets.
     """
     spec = str(path)
     if spec.startswith("sqlite://"):
@@ -637,8 +525,6 @@ def open_store(
         resolved.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CacheError(f"cannot create cache directory {resolved}: {exc}") from exc
-    store = SqliteStore(
+    return SqliteStore(
         resolved / SQLITE_DB_NAME, stats, max_entries=max_entries, max_bytes=max_bytes
     )
-    store.auto_migrate_json_dir(resolved)
-    return store

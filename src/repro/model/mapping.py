@@ -103,6 +103,19 @@ class Mapping:
         idx = order.index(task)
         return order[idx - 1] if idx > 0 else None
 
+    def core_predecessors(self) -> Dict[str, str]:
+        """``{task: task executed just before it on its core}``, in one pass.
+
+        First tasks of each core have no entry.  Build it once per analysis
+        instead of calling :meth:`predecessor_on_core` per task, which scans
+        the core's order.
+        """
+        return {
+            task: previous
+            for order in self._order.values()
+            for previous, task in zip(order, order[1:])
+        }
+
     def successor_on_core(self, task: str) -> Optional[str]:
         """Task executed immediately after ``task`` on the same core, if any."""
         core = self.core_of(task)

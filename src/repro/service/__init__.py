@@ -1,13 +1,13 @@
-"""Persistent analysis service: warm runtime, job queue and JSON API server.
+"""Persistent analysis service: job queue and JSON API server on a warm runtime.
 
-The batch engine of :mod:`repro.engine` is process-per-sweep: every
-:func:`~repro.engine.run_jobs` call pays full pool startup.  This package
-turns the analysis into a *resident* service:
+A batch or a search on its own opens a runtime for one call and closes it
+when the call returns.  This package keeps one :class:`EngineRuntime` warm
+for the life of a process and turns the analysis into a *resident* service:
 
-* :mod:`repro.service.runtime` — :class:`EngineRuntime`, one persistent
-  worker pool (``process`` / ``thread`` / ``inline`` backends, worker
-  recycling, shared result cache, :class:`RuntimeStats` telemetry) reused by
-  every batch and every search generation;
+* :class:`EngineRuntime` (defined in :mod:`repro.engine.runtime`, re-exported
+  here) — one persistent worker pool (``process`` / ``thread`` / ``inline``
+  backends, worker recycling, shared result cache, :class:`RuntimeStats`
+  telemetry) reused by every batch and every search generation;
 * :mod:`repro.service.queue` — :class:`JobQueue`, asynchronous submission
   with futures, priorities, coalescing of content-identical in-flight jobs
   and bounded backpressure;
@@ -28,10 +28,10 @@ boots one server; a deployment runs one per host, each driven by
 :class:`ServiceClient` callers.
 """
 
+from ..engine.runtime import BACKENDS, EngineRuntime, RuntimeStats
 from .client import ServiceClient
 from .metrics import render_prometheus_metrics
 from .queue import JobQueue, QueueStats
-from .runtime import BACKENDS, EngineRuntime, RuntimeStats
 from .server import AnalysisServer
 
 __all__ = [

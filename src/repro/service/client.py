@@ -16,7 +16,9 @@ completed schedules (``None`` at failed positions) and whose ``failures`` map
 carries the per-index error messages.
 
 Transport and protocol errors raise :class:`~repro.errors.ServiceError` with
-the server's own message whenever one is available.
+the server's own message whenever one is available.  So does a problem whose
+arbiter the ``repro-problem`` document cannot carry (it names the arbiter,
+not its parameters), before any request is sent.
 """
 
 from __future__ import annotations
@@ -28,11 +30,37 @@ import urllib.request
 from typing import Any, Dict, Iterable, List, Optional
 
 from .. import obs
+from ..arbiter import create_arbiter
 from ..core import AnalysisProblem, OverlayProblem, Schedule
-from ..errors import BatchExecutionError, SerializationError, ServiceError
+from ..engine.jobs import _arbiter_signature
+from ..errors import BatchExecutionError, ReproError, SerializationError, ServiceError
 from ..io.json_io import delta_to_dict, problem_to_dict
 
 __all__ = ["ServiceClient"]
+
+
+def _problem_document(problem: AnalysisProblem) -> Dict[str, Any]:
+    """The ``repro-problem`` document for ``problem``, refused when lossy.
+
+    The document carries the arbiter by registry *name* only, and the server
+    rebuilds it with the registry defaults.  A parameterized or unregistered
+    arbiter would silently be analysed as a different problem, so it raises
+    :class:`~repro.errors.ServiceError` here, naming the arbiter.
+    """
+    arbiter = problem.arbiter
+    try:
+        rebuilt = create_arbiter(arbiter.name, problem.platform)
+    except ReproError as exc:  # unregistered name, or a factory that rejects it
+        raise ServiceError(
+            f"arbiter {arbiter.name!r} cannot be rebuilt by name on the server: {exc}"
+        ) from exc
+    if _arbiter_signature(rebuilt) != _arbiter_signature(arbiter):
+        raise ServiceError(
+            f"arbiter {arbiter.name!r} carries parameters the repro-problem document "
+            "does not transport; the server would analyse it with the registry "
+            "defaults (analyse this problem in-process instead)"
+        )
+    return problem_to_dict(problem)
 
 
 class ServiceClient:
@@ -182,16 +210,17 @@ class ServiceClient:
 
         :param problem: the problem to analyse; travels as a ``repro-problem``
             JSON document, so only the arbiter's registry *name* crosses the
-            wire (custom arbiter parameterizations do not).
+            wire.  A custom arbiter parameterization raises instead.
         :param algorithm: analysis algorithm name; ``None`` uses the server's
             default.  The name must resolve in the *server's* registry.
         :param priority: queue priority — higher values drain first when the
             server's queue backs up behind a running batch.
-        :raises ServiceError: on transport failures or error responses
-            (``status`` carries the HTTP code when there is one).
+        :raises ServiceError: on an arbiter the document cannot carry, on
+            transport failures or error responses (``status`` carries the
+            HTTP code when there is one).
         :raises SerializationError: if the response schedule is malformed.
         """
-        document: Dict[str, Any] = {"problem": problem_to_dict(problem), "priority": priority}
+        document: Dict[str, Any] = {"problem": _problem_document(problem), "priority": priority}
         if algorithm is not None:
             document["algorithm"] = algorithm
         response = self._request("POST", "/analyze", document)
@@ -218,11 +247,12 @@ class ServiceClient:
         :raises BatchExecutionError: when some jobs failed on the server —
             ``results`` holds the completed schedules (``None`` at failed
             positions) and ``failures`` maps submission indices to messages.
-        :raises ServiceError: on transport failures or error responses.
+        :raises ServiceError: on an arbiter the document cannot carry, on
+            transport failures or error responses.
         """
         problems = list(problems)
         document: Dict[str, Any] = {
-            "problems": [problem_to_dict(problem) for problem in problems],
+            "problems": [_problem_document(problem) for problem in problems],
             "priority": priority,
         }
         if algorithm is not None:
@@ -249,8 +279,8 @@ class ServiceClient:
         :meth:`analyze_many` exactly.
 
         :raises ServiceError: on an empty probe list, a non-probe, probes that
-            do not share one parent kernel, transport failures or error
-            responses.
+            do not share one parent kernel, an arbiter the document cannot
+            carry, transport failures or error responses.
         :raises BatchExecutionError: when some probes failed on the server.
         """
         probes = list(probes)
@@ -262,7 +292,7 @@ class ServiceClient:
         if any(probe.parent is not parent for probe in probes[1:]):
             raise ServiceError("every probe of a delta batch must share one parent kernel")
         document: Dict[str, Any] = {
-            "problem": problem_to_dict(parent.problem),
+            "problem": _problem_document(parent.problem),
             "deltas": [delta_to_dict(probe) for probe in probes],
             "priority": priority,
         }
@@ -313,8 +343,11 @@ class ServiceClient:
         breaking factor, makespan and probe trace) or ``horizon`` (returns
         ``minimal_horizon``).  ``horizon`` overrides the problem's own global
         deadline for this call.
+
+        :raises ServiceError: on an arbiter the document cannot carry, on
+            transport failures or error responses.
         """
-        document: Dict[str, Any] = {"problem": problem_to_dict(problem), "kind": kind}
+        document: Dict[str, Any] = {"problem": _problem_document(problem), "kind": kind}
         if algorithm is not None:
             document["algorithm"] = algorithm
         if max_factor is not None:

@@ -1,4 +1,4 @@
-"""Asynchronous job queue in front of an :class:`~repro.service.EngineRuntime`.
+"""Asynchronous job queue in front of an :class:`~repro.engine.EngineRuntime`.
 
 The runtime executes *batches*; a resident service receives *individual*
 requests.  The :class:`JobQueue` bridges the two:
@@ -42,6 +42,7 @@ from ..core import AnalysisProblem, OverlayProblem, Schedule
 from ..core.analyzer import INCREMENTAL
 from ..engine.batch import BatchAnalyzer
 from ..engine.jobs import AnalysisJob
+from ..engine.runtime import EngineRuntime
 from ..errors import BatchExecutionError, EngineError, QueueFullError, ServiceError
 
 __all__ = ["QueueStats", "JobQueue"]
@@ -124,40 +125,32 @@ class _Entry:
 class JobQueue:
     """Priority job queue with digest coalescing and bounded backpressure.
 
-    :param runtime: the :class:`~repro.service.EngineRuntime` the drained
+    Coalescing (see the module docs) always applies, so a drained batch never
+    holds two entries of one content key.
+
+    :param runtime: the :class:`~repro.engine.EngineRuntime` the drained
         batches execute on (its shared result cache serves repeat content
         without any analyzer invocation).  Any backend works.
     :param algorithm: default per-submission algorithm name.
     :param max_pending: bound on queued (not yet running) jobs; at the bound
         :meth:`submit` blocks, then raises
         :class:`~repro.errors.QueueFullError` on timeout.
-    :param max_batch: cap on how many jobs one drain may take (``None`` =
-        everything queued at the wake-up).
-    :param coalesce: attach submissions whose content digest + algorithm
-        match a queued/in-flight job to that job instead of enqueuing new
-        work (each future still resolves to its own relabeled copy).
-    :raises ServiceError: on non-positive bounds, and from :meth:`submit`
+    :raises ServiceError: on a non-positive bound, and from :meth:`submit`
         after :meth:`close`.
     """
 
     def __init__(
         self,
-        runtime: Any,
+        runtime: EngineRuntime,
         *,
         algorithm: str = INCREMENTAL,
         max_pending: int = 1024,
-        max_batch: Optional[int] = None,
-        coalesce: bool = True,
     ) -> None:
         if max_pending < 1:
             raise ServiceError(f"max_pending must be >= 1, got {max_pending}")
-        if max_batch is not None and max_batch < 1:
-            raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
         self.runtime = runtime
         self.algorithm = algorithm
         self.max_pending = int(max_pending)
-        self.max_batch = max_batch
-        self.coalesce = bool(coalesce)
         self._cond = threading.Condition()
         self._seq = itertools.count()
         self._heap: List[Tuple[int, int, _Entry]] = []  # (-priority, seq, entry)
@@ -230,15 +223,12 @@ class JobQueue:
                 if self._closed:
                     raise ServiceError("job queue is closed")
                 future: "Future[Schedule]" = Future()
-                if self.coalesce:
-                    existing = self._queued.get(key) or self._running.get(key)
-                    if existing is not None:
-                        existing.waiters.append((future, problem.name))
-                        self._submitted += 1
-                        self._coalesced += 1
-                        futures.append(future)
-                        continue
-                while len(self._heap) >= self.max_pending and not self._closed:
+                existing = self._queued.get(key) or self._running.get(key)
+                while (
+                    existing is None
+                    and len(self._heap) >= self.max_pending
+                    and not self._closed
+                ):
                     # wake the dispatcher first: the entries enqueued so far
                     # in this burst have not been announced yet, and draining
                     # them is the only way space can free up
@@ -250,27 +240,21 @@ class JobQueue:
                             f"submission timed out after {timeout}s"
                         )
                     self._cond.wait(remaining)
+                    # re-check after a backpressure wait: another submitter of
+                    # the same content may have enqueued it while we blocked
+                    existing = self._queued.get(key) or self._running.get(key)
                 if self._closed:
                     raise ServiceError("job queue is closed")
-                if self.coalesce:
-                    # re-check after a backpressure wait: another submitter
-                    # of the same content may have enqueued it while we blocked
-                    existing = self._queued.get(key) or self._running.get(key)
-                    if existing is not None:
-                        existing.waiters.append((future, problem.name))
-                        self._submitted += 1
-                        self._coalesced += 1
-                        futures.append(future)
-                        continue
+                self._submitted += 1
+                futures.append(future)
+                if existing is not None:
+                    existing.waiters.append((future, problem.name))
+                    self._coalesced += 1
+                    continue
                 entry = _Entry(key, problem, algorithm, int(priority), next(self._seq))
                 entry.waiters.append((future, problem.name))
                 heapq.heappush(self._heap, (-entry.priority, entry.seq, entry))
-                if self.coalesce:
-                    # the key->entry maps exist only for coalescing lookups;
-                    # with coalescing off duplicate keys may coexist in the heap
-                    self._queued[key] = entry
-                self._submitted += 1
-                futures.append(future)
+                self._queued[key] = entry
             self._cond.notify_all()
         return futures
 
@@ -279,16 +263,13 @@ class JobQueue:
     # ------------------------------------------------------------------
 
     def _drain(self) -> List[_Entry]:
-        """Take the highest-priority queued entries (under the lock)."""
+        """Take every queued entry, highest priority first (under the lock)."""
         batch: List[_Entry] = []
-        limit = self.max_batch if self.max_batch is not None else len(self._heap)
         drained_wall = time.time()
-        while self._heap and len(batch) < limit:
+        while self._heap:
             _, _, entry = heapq.heappop(self._heap)
-            if self._queued.get(entry.key) is entry:
-                del self._queued[entry.key]
-            if self.coalesce:
-                self._running[entry.key] = entry
+            del self._queued[entry.key]
+            self._running[entry.key] = entry
             batch.append(entry)
             wait = max(time.perf_counter() - entry.enqueued, 0.0)
             self._wait_histogram.observe(wait)
@@ -333,10 +314,8 @@ class JobQueue:
             self._execute_groups(batch)
 
     def _execute_groups(self, batch: List[_Entry]) -> None:
-        # outcomes are keyed by entry *identity*, never by content digest:
-        # with coalescing off, one drained batch may carry several entries of
-        # the same digest, and each must resolve to its own schedule object
-        # (the engine's intra-batch dedup hands every position its own clone)
+        # outcomes are keyed by entry *identity*: coalescing keeps one entry
+        # per content key in a drain, and each entry resolves its own futures
         schedules: Dict[_Entry, Schedule] = {}
         errors: Dict[_Entry, BaseException] = {}
         groups: Dict[str, List[_Entry]] = {}
@@ -393,9 +372,7 @@ class JobQueue:
                 else:
                     # coalesced follower: same content, its own copy (futures
                     # must not share one mutable schedule) and its own label
-                    clone = Schedule.from_dict(schedule.to_dict())
-                    clone.problem_name = name
-                    future.set_result(clone)
+                    future.set_result(schedule.relabeled(name))
                 completed += 1
         with self._cond:
             self._completed += completed
@@ -425,8 +402,7 @@ class JobQueue:
             if not drain:
                 while self._heap:
                     _, _, entry = heapq.heappop(self._heap)
-                    if self._queued.get(entry.key) is entry:
-                        del self._queued[entry.key]
+                    del self._queued[entry.key]
                     cancelled.append(entry)
             self._cond.notify_all()
         cancelled_futures = sum(

@@ -70,6 +70,7 @@ from ..analysis.search import SearchDriver
 from ..analysis.sensitivity import memory_sensitivity, wcet_sensitivity
 from ..core.analyzer import INCREMENTAL
 from ..core.kernel import ParamOverlay, compile_problem
+from ..engine.runtime import EngineRuntime
 from ..errors import QueueFullError, ReproError, SerializationError, ServiceError
 from ..io.json_io import (
     batch_results_to_dict,
@@ -79,7 +80,6 @@ from ..io.json_io import (
 )
 from .metrics import METRICS_CONTENT_TYPE, render_prometheus_metrics
 from .queue import JobQueue
-from .runtime import EngineRuntime
 
 __all__ = ["AnalysisServer"]
 

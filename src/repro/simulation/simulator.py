@@ -199,6 +199,7 @@ class ExecutionSimulator:
         releases: List[Tuple[int, str]] = sorted(
             (entry.release, entry.name) for entry in schedule
         )
+        predecessors = problem.effective_predecessor_map()
         release_index = 0
         running: Dict[int, _RunningTask] = {}  # core -> running task
         finished: Dict[str, SimulatedTask] = {}
@@ -227,7 +228,8 @@ class ExecutionSimulator:
                         f"when {name!r} is released at {release_time}; the analysed schedule "
                         "does not cover this execution"
                     )
-                for pred in problem.effective_predecessors(name):
+                # a task outside the problem has no entry; _start_task rejects it
+                for pred in predecessors.get(name, ()):
                     if pred not in finished:
                         result.precedence_violations.append(
                             f"task {name!r} released at {release_time} before predecessor "

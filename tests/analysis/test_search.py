@@ -184,6 +184,19 @@ class TestDriver:
         with pytest.raises(AnalysisError):
             SearchDriver(speculation=-1)
 
+    def test_retired_chunksize_parameter_is_not_accepted(self):
+        with pytest.raises(TypeError, match="chunksize"):
+            SearchDriver(chunksize=1)
+
+    def test_batched_search_leaves_no_worker_processes(self):
+        import multiprocessing
+
+        problem = figure1_problem().with_horizon(12)
+        driver = SearchDriver(max_workers=2)
+        memory_sensitivity(problem, max_factor=16.0, tolerance=0.1, driver=driver)
+        assert driver.total_computed > 0
+        assert multiprocessing.active_children() == []
+
     def test_invalid_bracket_parameters_rejected(self):
         problem = figure1_problem().with_horizon(12)
         with pytest.raises(AnalysisError):

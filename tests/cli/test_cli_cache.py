@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro import analyze
 from repro.cli.main import main
 from repro.engine import ResultCache
@@ -31,28 +33,11 @@ class TestCacheStats:
 
 
 class TestCacheMigrate:
-    def test_migrates_with_progress_and_is_idempotent(
-        self, tmp_path, diamond_problem, capsys, write_legacy_entries
-    ):
-        schedule = analyze(diamond_problem)
-        write_legacy_entries(
-            tmp_path / "legacy", schedule, [f"key-{index}" for index in range(4)]
-        )
-        database = tmp_path / "cache.sqlite"
-        assert main(["cache", "migrate", str(tmp_path / "legacy"), str(database)]) == 0
-        captured = capsys.readouterr()
-        assert "migrated 4" in captured.out
-        assert "[4/4]" in captured.err  # progress streamed to stderr
-        # idempotent re-run: replace semantics converge to the same store
-        assert main(["cache", "migrate", str(tmp_path / "legacy"), str(database), "--quiet"]) == 0
-        assert "store now holds 4" in capsys.readouterr().out
-        store = SqliteStore(database)
-        try:
-            assert store.entry_count() == 4
-            restored = store.get_many(["key-0"])["key-0"][1]
-            assert restored.to_dict() == schedule.to_dict()
-        finally:
-            store.close()
+    def test_migrate_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "migrate", str(tmp_path / "legacy"), str(tmp_path / "c.sqlite")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
 
 
 class TestCachePrune:

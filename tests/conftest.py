@@ -69,32 +69,3 @@ def diamond_problem():
         arbiter=RoundRobinArbiter(),
         name="diamond",
     )
-
-
-@pytest.fixture
-def write_legacy_entries():
-    """Writer of legacy one-JSON-file-per-entry cache directories.
-
-    Older builds kept the result cache as one ``repro-cache-entry`` file per
-    key, named by the SHA-256 of the key; the SQLite store imports such
-    directories.  ``write(directory, schedule, keys, split=None)`` lays out
-    one entry file per key (``split`` is an optional function of the key
-    returning its ``(structure, overlay)`` digests) and returns the files.
-    """
-    import hashlib
-    import json
-
-    def write(directory, schedule, keys, split=None):
-        directory.mkdir(parents=True, exist_ok=True)
-        record = schedule.to_dict()
-        files = []
-        for key in keys:
-            document = {"format": "repro-cache-entry", "key": key, "schedule": record}
-            if split is not None:
-                document["structure"], document["overlay"] = split(key)
-            entry = directory / f"{hashlib.sha256(key.encode('utf-8')).hexdigest()}.json"
-            entry.write_text(json.dumps(document), encoding="utf-8")
-            files.append(entry)
-        return files
-
-    return write

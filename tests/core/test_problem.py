@@ -90,6 +90,20 @@ class TestDerivedViews:
         assert problem.effective_predecessors("c") == {"a"}
         assert problem.effective_predecessors("a") == set()
 
+    def test_effective_predecessor_map_never_scans_core_orders(self, monkeypatch):
+        """One core-predecessor table per map, not one order scan per task."""
+        from repro.generators import fixed_ls_workload
+        from repro.model import Mapping
+
+        problem = fixed_ls_workload(400, 64, seed=1).to_problem()
+        expected = {task.name: problem.effective_predecessors(task.name) for task in problem.graph}
+
+        def _scan(self, task):  # pragma: no cover - must never run
+            raise AssertionError("Mapping.predecessor_on_core called")
+
+        monkeypatch.setattr(Mapping, "predecessor_on_core", _scan)
+        assert problem.effective_predecessor_map() == expected
+
     def test_effective_successor_map_is_reverse(self):
         problem = build_problem()
         successors = problem.effective_successor_map()

@@ -109,6 +109,19 @@ class TestSchedule:
         assert not schedule.schedulable
         assert schedule.unscheduled == ["y", "z"]
 
+    def test_relabeled_copy_differs_only_in_name(self):
+        schedule = self.build()
+        schedule.stats = ScheduleStats(algorithm="incremental", cursor_steps=5)
+        copy = schedule.relabeled("other")
+        original, relabeled = schedule.to_dict(), copy.to_dict()
+        assert original.pop("problem_name") == "unit"
+        assert relabeled.pop("problem_name") == "other"
+        assert relabeled == original
+        copy.stats.cursor_steps = 99
+        copy.unscheduled.append("ghost")
+        assert schedule.stats.cursor_steps == 5
+        assert schedule.unscheduled == []
+
     def test_dict_roundtrip(self):
         schedule = self.build()
         schedule.stats = ScheduleStats(algorithm="incremental", cursor_steps=5, ibus_calls=7)

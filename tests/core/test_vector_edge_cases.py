@@ -24,7 +24,7 @@ from repro.core import (
     resolve_backend,
 )
 from repro.core import vector as vector_mod
-from repro.engine import AnalysisJob, run_jobs
+from repro.engine import AnalysisJob, EngineRuntime
 from repro.errors import AnalysisError, MappingError
 from repro.generators import fixed_ls_workload
 from repro.model import Mapping, MemoryDemand, Task, TaskGraph
@@ -160,14 +160,15 @@ class TestGenerationSizes:
             assert fingerprint(got) == fingerprint(want)
 
     @pytest.mark.parametrize("size", [1, 12])
-    def test_run_jobs_generation(self, size, monkeypatch):
+    def test_runtime_generation(self, size, monkeypatch):
         # force vector resolution regardless of the ambient env setting
         monkeypatch.setenv(vector_mod.BACKEND_ENV, "vector")
         probes = self._probes(size)
         jobs = [AnalysisJob(p, "fixedpoint", index=i) for i, p in enumerate(probes)]
         before = generation_pass_count()
         # size 12 exceeds max_workers=2: batching still takes one pass
-        results = run_jobs(jobs, max_workers=2)
+        with EngineRuntime(max_workers=2) as runtime:
+            results = runtime.run(jobs)
         assert generation_pass_count() - before == 1
         serial = [analyze_fixedpoint(p, backend="python") for p in probes]
         for got, want in zip(results, serial):

@@ -15,7 +15,7 @@ import pytest
 
 from repro import AnalysisProblem, BatchAnalyzer, ResultCache, analyze, analyze_many
 from repro.core.analyzer import available_algorithms, register_algorithm
-from repro.engine import ProgressEvent, default_worker_count, run_jobs
+from repro.engine import EngineRuntime, ProgressEvent, default_worker_count
 from repro.engine.jobs import AnalysisJob
 from repro.errors import AnalysisError, EngineError
 from repro.generators import fixed_ls_workload
@@ -87,12 +87,12 @@ def test_results_are_in_submission_order():
 
 def test_serial_fallback_uses_no_pool(monkeypatch):
     """max_workers=1 must not touch concurrent.futures at all."""
-    import repro.engine.executor as executor_module
+    import repro.engine.runtime as runtime_module
 
     def _boom(*args, **kwargs):  # pragma: no cover - should never run
         raise AssertionError("ProcessPoolExecutor used in serial mode")
 
-    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", _boom)
+    monkeypatch.setattr(runtime_module, "ProcessPoolExecutor", _boom)
     schedules = analyze_many(_sweep(4), max_workers=1)
     assert len(schedules) == 4
 
@@ -280,10 +280,38 @@ def test_cache_write_failure_does_not_discard_results(tmp_path, monkeypatch):
     assert len(report.schedules) == 3
 
 
-def test_run_jobs_does_not_mutate_caller_job_indices():
+def test_runtime_run_does_not_mutate_caller_job_indices():
     jobs = [AnalysisJob(problem=p, algorithm="incremental", index=10 + i) for i, p in enumerate(_sweep(4))]
-    run_jobs(jobs, max_workers=2, chunksize=1)
+    with EngineRuntime(max_workers=2) as runtime:
+        runtime.run(jobs, chunksize=1)
     assert [job.index for job in jobs] == [10, 11, 12, 13]
+
+
+def test_transient_pool_leaves_no_worker_processes():
+    import multiprocessing
+
+    analyze_many(_sweep(4), max_workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_warm_memory_cache_run_never_encodes_a_schedule(monkeypatch):
+    """Warm hits are relabeled copies, not to_dict/from_dict round trips."""
+    from repro.core.schedule import Schedule
+
+    problems = _sweep(3)
+    analyzer = BatchAnalyzer(max_workers=1)
+    cold = analyzer.run(problems + problems)
+
+    def _no_encoding(self):  # pragma: no cover - must never run
+        raise AssertionError("Schedule.to_dict called on a warm run")
+
+    monkeypatch.setattr(Schedule, "to_dict", _no_encoding)
+    warm = analyzer.run(problems)
+    assert warm.cached == 3
+    assert [s.problem_name for s in warm.schedules] == [p.name for p in problems]
+    monkeypatch.undo()
+    for one, two in zip(cold.schedules, warm.schedules):
+        assert _canonical(one) == _canonical(two)
 
 
 def test_mixed_cold_warm_batch():
@@ -328,9 +356,9 @@ def test_report_workers_reflects_actual_usage():
     assert warm.workers == 0  # nothing reached a worker
 
 
-def test_invalid_worker_count_rejected(diamond_problem):
+def test_invalid_worker_count_rejected():
     with pytest.raises(EngineError):
-        run_jobs([AnalysisJob(problem=diamond_problem)], max_workers=0)
+        BatchAnalyzer(max_workers=0)
 
 
 def test_default_worker_count_positive():

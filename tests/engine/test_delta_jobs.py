@@ -19,7 +19,8 @@ from repro.core import (
     compile_problem,
 )
 from repro.engine import BatchAnalyzer, analyze_many
-from repro.engine.executor import run_jobs, run_jobs_on
+from repro.engine import EngineRuntime
+from repro.engine.executor import run_jobs_on
 from repro.engine.jobs import (
     SCHEMA_VERSION,
     AnalysisJob,
@@ -192,7 +193,8 @@ class TestPayloadTransport:
             AnalysisJob(problem=probe, algorithm="incremental", index=i)
             for i, probe in enumerate(probes)
         ]
-        pooled = run_jobs(jobs, max_workers=2)
+        with EngineRuntime(max_workers=2) as runtime:
+            pooled = runtime.run(jobs)
         for left, probe in zip(pooled, probes):
             _same_result(left, analyze(probe, "incremental"))
         if kind == "structural":

@@ -57,8 +57,8 @@ def _run_in_one_chunk(backend, probes):
         AnalysisJob(problem=probe, algorithm="incremental", index=index)
         for index, probe in enumerate(probes)
     ]
-    with EngineRuntime(backend=backend, max_workers=2, chunksize=len(jobs)) as runtime:
-        return runtime.run(jobs)
+    with EngineRuntime(backend=backend, max_workers=2) as runtime:
+        return runtime.run(jobs, chunksize=len(jobs))
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])

@@ -15,7 +15,6 @@ import pytest
 from repro import analyze_many
 from repro.core.analyzer import register_algorithm
 from repro.core.schedule import Schedule, ScheduledTask
-from repro.engine import run_jobs
 from repro.engine.executor import START_METHOD_ENV
 from repro.engine.jobs import AnalysisJob
 from repro.errors import EngineError
@@ -117,6 +116,5 @@ def test_from_payload_reregisters_the_shipped_function():
 
 def test_invalid_start_method_rejected(monkeypatch):
     monkeypatch.setenv(START_METHOD_ENV, "teleport")
-    jobs = [AnalysisJob(problem=problem) for problem in _sweep(2)]
     with pytest.raises(EngineError, match="REPRO_MP_START_METHOD"):
-        run_jobs(jobs, max_workers=2)
+        analyze_many(_sweep(2), max_workers=2)

@@ -1,7 +1,9 @@
-"""Tests for the persistent SQLite cache store and the legacy JSON import."""
+"""Tests for the persistent SQLite cache store."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import marshal
 import sqlite3
 
@@ -13,7 +15,6 @@ from repro.engine.cache import CacheStats
 from repro.engine.store import (
     SQLITE_SCHEMA_VERSION,
     SqliteStore,
-    migrate_json_dir,
     open_store,
 )
 from repro.errors import CacheError
@@ -209,76 +210,21 @@ def test_sqlite_eviction_keeps_store_within_max_bytes_under_50k_fill(tmp_path, r
 
 
 # ----------------------------------------------------------------------
-# migration
+# legacy JSON entry files
 # ----------------------------------------------------------------------
 
 
-class TestMigration:
-    def test_migrate_json_dir_ingests_valid_entries(
-        self, tmp_path, record, diamond_problem, write_legacy_entries
-    ):
-        schedule = analyze(diamond_problem)
-        write_legacy_entries(
-            tmp_path / "legacy",
-            schedule,
-            [f"key-{index}" for index in range(6)],
-            split=lambda key: ("s", f"o-{key}"),
-        )
-        (tmp_path / "legacy" / "not-an-entry.json").write_text("{}", encoding="utf-8")
-        store = SqliteStore(tmp_path / "c.db")
-        seen = []
-        migrated = migrate_json_dir(
-            tmp_path / "legacy", store, progress=lambda done, total: seen.append((done, total))
-        )
-        assert migrated == 6
-        assert store.entry_count() == 6
-        assert seen[-1] == (6, 6)
-        # split digests survive the migration: structure-scoped ops still work
-        assert store.drop_structure("s") == 6
-
-    def test_migrate_skips_invalid_files_without_deleting_them(
-        self, tmp_path, diamond_problem, write_legacy_entries
-    ):
-        schedule = analyze(diamond_problem)
-        truncated, foreign, malformed, valid = write_legacy_entries(
-            tmp_path / "legacy", schedule, ["truncated", "foreign", "malformed", "valid"]
-        )
-        truncated.write_text(truncated.read_text(encoding="utf-8")[:40], encoding="utf-8")
-        foreign.write_text('{"format": "something-else", "key": "foreign"}', encoding="utf-8")
-        malformed.write_text(
-            '{"format": "repro-cache-entry", "key": "malformed", '
-            '"schedule": {"entries": [{"name": "broken"}]}}',
-            encoding="utf-8",
-        )
-        store = SqliteStore(tmp_path / "c.db")
-        assert migrate_json_dir(tmp_path / "legacy", store) == 1
-        assert store.keys() == ["valid"]
-        assert all(entry.exists() for entry in (truncated, foreign, malformed, valid))
-
-    def test_migrate_is_idempotent(
-        self, tmp_path, record, diamond_problem, write_legacy_entries
-    ):
-        schedule = analyze(diamond_problem)
-        keys = [f"key-{index}" for index in range(4)]
-        write_legacy_entries(tmp_path / "legacy", schedule, keys)
-        store = SqliteStore(tmp_path / "c.db")
-        assert migrate_json_dir(tmp_path / "legacy", store) == 4
-        assert migrate_json_dir(tmp_path / "legacy", store) == 4  # re-run converges
-        assert store.entry_count() == 4
-
-    def test_directory_open_auto_migrates_legacy_entries_once(
-        self, tmp_path, diamond_problem, write_legacy_entries
-    ):
-        directory = tmp_path / "cache"
-        schedule = analyze(diamond_problem)
-        write_legacy_entries(directory, schedule, ["legacy-key"])
-        # pointing a new cache at the old directory ingests it
-        cache = ResultCache(path=directory)
-        assert cache.get("legacy-key") is not None
-        assert cache.stats.disk_hits == 1
-        # the one-shot marker prevents re-scans: deleting the JSON file and
-        # reopening must not lose (or re-find) anything
-        for entry in directory.glob("*.json"):
-            entry.unlink()
-        reopened = ResultCache(path=directory)
-        assert reopened.get("legacy-key") is not None
+def test_directory_with_legacy_json_entries_opens_as_an_empty_store(tmp_path, record):
+    """Older builds kept one JSON file per entry; they are not imported."""
+    directory = tmp_path / "cache"
+    directory.mkdir()
+    legacy = directory / f"{hashlib.sha256(b'legacy-key').hexdigest()}.json"
+    document = {"format": "repro-cache-entry", "key": "legacy-key", "schedule": record}
+    legacy.write_text(json.dumps(document), encoding="utf-8")
+    cache = ResultCache(path=directory)
+    try:
+        assert cache.get("legacy-key") is None
+        assert len(cache) == 0
+    finally:
+        cache.close()
+    assert json.loads(legacy.read_text(encoding="utf-8")) == document

@@ -175,8 +175,8 @@ class TestCoalescing:
         queue.close()
 
     def test_uncoalesced_duplicates_get_distinct_correctly_named_schedules(self, runtime):
-        """Same-digest entries in one drain must not share one mutable schedule."""
-        queue = JobQueue(runtime, coalesce=False)
+        """A coalesced follower gets its own, correctly named schedule."""
+        queue = JobQueue(runtime)
         first = queue.submit(_problem(36, name="first"))
         second = queue.submit(_problem(36, name="second"))  # identical content
         a = first.result(timeout=30)
@@ -187,26 +187,11 @@ class TestCoalescing:
         assert a.to_dict()["entries"] == b.to_dict()["entries"]
         queue.close()
 
-    def test_coalescing_can_be_disabled(self, runtime):
-        gate = _Gate("svc-queue-gate-noco")
-        queue = JobQueue(runtime, coalesce=False)
-        blocker = queue.submit(_problem(33), algorithm=gate.name)
-        assert gate.entered.wait(timeout=30)
-        first = queue.submit(_problem(34))
-        second = queue.submit(_problem(34))
-        assert queue.stats().coalesced == 0
-        assert queue.stats().pending == 2
-        gate.release.set()
-        first.result(timeout=30)
-        second.result(timeout=30)
-        blocker.result(timeout=30)
-        queue.close()
-
 
 class TestBackpressure:
     def test_full_queue_times_out_with_queue_full_error(self, runtime):
         gate = _Gate("svc-queue-gate-bp")
-        queue = JobQueue(runtime, max_pending=1, coalesce=False)
+        queue = JobQueue(runtime, max_pending=1)
         blocker = queue.submit(_problem(40), algorithm=gate.name)
         assert gate.entered.wait(timeout=30)
         _wait_until(lambda: queue.stats().pending == 0)  # blocker drained
@@ -220,7 +205,7 @@ class TestBackpressure:
 
     def test_blocked_submission_proceeds_when_space_frees(self, runtime):
         gate = _Gate("svc-queue-gate-bp2")
-        queue = JobQueue(runtime, max_pending=1, coalesce=False)
+        queue = JobQueue(runtime, max_pending=1)
         blocker = queue.submit(_problem(43), algorithm=gate.name)
         assert gate.entered.wait(timeout=30)
         _wait_until(lambda: queue.stats().pending == 0)
@@ -237,8 +222,11 @@ class TestBackpressure:
     def test_invalid_bounds_rejected(self, runtime):
         with pytest.raises(ServiceError):
             JobQueue(runtime, max_pending=0)
-        with pytest.raises(ServiceError):
-            JobQueue(runtime, max_batch=0)
+
+    @pytest.mark.parametrize("parameter", ["coalesce", "max_batch"])
+    def test_retired_parameters_are_not_accepted(self, runtime, parameter):
+        with pytest.raises(TypeError, match=parameter):
+            JobQueue(runtime, **{parameter: 1})
 
 
 class TestLifecycle:
@@ -266,19 +254,6 @@ class TestLifecycle:
         gate.release.set()
         assert running.result(timeout=30) is not None  # in-flight work completes
         assert queue.stats().cancelled == 1
-        queue.close()
-
-    def test_max_batch_limits_one_drain(self, runtime):
-        gate = _Gate("svc-queue-gate-maxb")
-        queue = JobQueue(runtime, max_batch=1, coalesce=False)
-        blocker = queue.submit(_problem(53), algorithm=gate.name)
-        assert gate.entered.wait(timeout=30)
-        futures = queue.map([_problem(54 + seed) for seed in range(3)])
-        gate.release.set()
-        for future in futures:
-            future.result(timeout=30)
-        blocker.result(timeout=30)
-        assert queue.stats().batches >= 4  # one drain per job, not one burst
         queue.close()
 
 

@@ -10,6 +10,11 @@ exists to amortize.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import BatchAnalyzer, analyze_many
@@ -27,6 +32,8 @@ from repro.errors import (
 from repro.generators import fixed_ls_workload
 from repro.service import BACKENDS, EngineRuntime
 
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
+
 
 def _sweep(count: int, tasks: int = 16):
     return [
@@ -41,6 +48,24 @@ def _entries(schedules):
 
 def _jobs(problems):
     return [AnalysisJob(problem=problem, index=index) for index, problem in enumerate(problems)]
+
+
+class TestHome:
+    def test_engine_layer_loads_no_service_module(self):
+        """The runtime lives in the engine, which never imports the service."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro.engine\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.service')))\n"
+            "import repro.service\n"
+            "print(repro.service.EngineRuntime is repro.engine.EngineRuntime)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "True"]
 
 
 class TestBackends:
@@ -61,10 +86,6 @@ class TestBackends:
             EngineRuntime(max_workers=0)
         with pytest.raises(ServiceError):
             EngineRuntime(recycle_after=0)
-        with pytest.raises(ServiceError):
-            EngineRuntime(chunksize=0)
-        with pytest.raises(ServiceError):
-            EngineRuntime(latency_smoothing=0.0)
 
     def test_inline_backend_never_builds_a_pool(self):
         with EngineRuntime(backend="inline") as runtime:
@@ -76,7 +97,7 @@ class TestBackends:
         with EngineRuntime(backend="process", max_workers=1) as runtime:
             schedules = analyze_many(_sweep(2), runtime=runtime)
         assert len(schedules) == 2
-        assert runtime.pools_created == 0  # serial fallback, like run_jobs
+        assert runtime.pools_created == 0  # one worker: serial, no pool
 
     def test_remote_backend_is_retired(self):
         assert BACKENDS == ("process", "thread", "inline")
@@ -88,6 +109,11 @@ class TestBackends:
         ["endpoints", "max_in_flight", "retries", "quarantine_seconds", "request_timeout"],
     )
     def test_retired_cluster_parameters_are_not_accepted(self, parameter):
+        with pytest.raises(TypeError, match=parameter):
+            EngineRuntime(backend="inline", **{parameter: 1})
+
+    @pytest.mark.parametrize("parameter", ["chunksize", "latency_smoothing"])
+    def test_retired_tuning_parameters_are_not_accepted(self, parameter):
         with pytest.raises(TypeError, match=parameter):
             EngineRuntime(backend="inline", **{parameter: 1})
 
@@ -216,7 +242,7 @@ class TestLifecycle:
             assert runtime.run([]) == []
             assert runtime.pools_created == 0
 
-    def test_invalid_per_call_chunksize_rejected_like_run_jobs(self):
+    def test_invalid_per_call_chunksize_rejected(self):
         """The warm path validates chunksize exactly like the transient one."""
         with EngineRuntime(backend="thread", max_workers=2) as runtime:
             with pytest.raises(EngineError, match="chunksize"):

@@ -224,6 +224,29 @@ class TestErrors:
         assert info.value.results[1] is None
         assert info.value.results[2] is not None
 
+    def test_arbiter_the_document_cannot_carry_is_refused_before_sending(self, service):
+        """The problem document names the arbiter; custom weights would be lost."""
+        from repro.arbiter import WeightedRoundRobinArbiter
+        from repro.core.kernel import compile_problem
+
+        server, client, _ = service
+        problem = fixed_ls_workload(16, 4, core_count=4, seed=1).to_problem()
+        weighted = problem.with_arbiter(WeightedRoundRobinArbiter(weights={0: 3}))
+        kernel = compile_problem(weighted)
+        probe = kernel.with_overlay(kernel.scaled_demand_overlay(1.5))
+        calls = [
+            lambda: client.analyze(weighted),
+            lambda: client.analyze_many([problem, weighted]),
+            lambda: client.analyze_many_deltas([probe]),
+            lambda: client.search(weighted, kind="horizon"),
+        ]
+        for call in calls:
+            with pytest.raises(ServiceError, match="'weighted-round-robin'"):
+                call()
+        assert server._requests == 0  # refused before any request was sent
+        default = problem.with_arbiter(WeightedRoundRobinArbiter())
+        assert client.analyze(default).makespan == analyze(default).makespan
+
     def test_unreachable_server_raises_service_error(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)  # discard port
         with pytest.raises(ServiceError, match="cannot reach"):
