@@ -9,7 +9,7 @@ boots the whole :mod:`repro.service` stack in one process:
    cache, reused by every request;
 2. an :class:`AnalysisServer` — the stdlib HTTP JSON API
    (``POST /analyze``, ``POST /batch``, ``POST /search``, ``GET /stats``,
-   ``GET /healthz``) backed by a priority job queue with digest coalescing;
+   ``GET /healthz``) backed by a FIFO job queue with digest coalescing;
 3. a :class:`ServiceClient` — remote analysis that reads like local analysis.
 
 In production you would run the server as its own process::
@@ -31,7 +31,7 @@ def main() -> None:
         fixed_ls_workload(64, 8, core_count=8, seed=seed).to_problem() for seed in range(4)
     ]
 
-    with EngineRuntime(max_workers=2, recycle_after=10_000) as runtime:
+    with EngineRuntime(max_workers=2) as runtime:
         with AnalysisServer(runtime, port=0).start() as server:
             print(f"service up at {server.url}\n")
             client = ServiceClient(server.url)

@@ -10,7 +10,7 @@ answers a retired batch form, and the telemetry endpoint.
 
 Usage::
 
-    python scripts/serve_smoke.py [--backend process|thread|inline] [--workers N]
+    python scripts/serve_smoke.py [--workers N]
 
 Exits 0 on success, 1 on any mismatch or timeout.
 """
@@ -56,7 +56,6 @@ def _first_wcet_scaled(problem: AnalysisProblem, factor: int) -> AnalysisProblem
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", default="process")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--timeout", type=float, default=60.0)
     args = parser.parse_args()
@@ -70,8 +69,6 @@ def main() -> int:
         "serve",
         "--port",
         "0",
-        "--backend",
-        args.backend,
         "--workers",
         str(args.workers),
     ]
@@ -186,7 +183,7 @@ def main() -> int:
 
         stats = client.stats()
         assert stats["queue"]["submitted"] >= 6, stats
-        assert stats["runtime"]["backend"] == args.backend, stats
+        assert stats["runtime"]["workers"] == args.workers, stats
         print(
             "stats ok "
             f"(jobs_run={stats['runtime']['jobs_run']}, "

@@ -101,8 +101,8 @@ def smoke_serve(workdir: Path, timeout: float) -> int:
         "serve",
         "--port",
         "0",
-        "--backend",
-        "inline",
+        "--workers",
+        "1",
         "--trace-dir",
         str(trace_dir),
     ]

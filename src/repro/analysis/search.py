@@ -234,7 +234,7 @@ class SearchDriver:
         """Per-job latency EWMA of the bound runtime (None without one)."""
         if self.runtime is None:
             return None
-        return self.runtime.stats().latency_ewma_seconds
+        return self.runtime.latency_ewma_seconds
 
     def begin_search(self) -> None:
         """Reset the per-search progress counters (called by search entry points).
@@ -322,14 +322,23 @@ def resolve_algorithm(algorithm: Optional[str], driver: Optional["SearchDriver"]
     return driver.algorithm
 
 
+def _bisects(low: float, high: float, tolerance: float) -> bool:
+    """Whether the bisection of (low, high) goes on: the one stop rule.
+
+    It stops once the span is within ``tolerance`` or the midpoint rounds
+    onto an endpoint — past float resolution another probe would repeat one.
+    """
+    return high - low > tolerance and low < (low + high) / 2.0 < high
+
+
 def _bisection_ladder(low: float, high: float, depth: int, tolerance: float) -> List[float]:
     """Every factor a ``depth``-level bisection of (low, high) might probe.
 
-    The recursion prunes exactly where the search loop stops (interval span
-    within ``tolerance``), so no ladder rung can fall outside the factors the
+    The recursion prunes exactly where the search loop stops
+    (:func:`_bisects`), so no ladder rung can fall outside the factors the
     replay may request.
     """
-    if depth <= 0 or high - low <= tolerance:
+    if depth <= 0 or not _bisects(low, high, tolerance):
         return []
     mid = (low + high) / 2.0
     return [
@@ -340,11 +349,14 @@ def _bisection_ladder(low: float, high: float, depth: int, tolerance: float) -> 
 
 
 def _remaining_levels(low: float, high: float, tolerance: float) -> int:
-    """Bisection levels left before (low, high) narrows within ``tolerance``."""
-    span = high - low
-    if span <= tolerance or tolerance <= 0:
+    """Bisection levels left before (low, high) narrows within ``tolerance``.
+
+    An estimate for progress reports; like :func:`_bisects` it also stops at
+    float resolution.
+    """
+    if not _bisects(low, high, tolerance):
         return 0
-    return max(1, math.ceil(math.log2(span / tolerance)))
+    return max(1, math.ceil(math.log2((high - low) / max(tolerance, math.ulp(high)))))
 
 
 class _Prober:
@@ -395,11 +407,16 @@ def bracket_search(
     *replays* the serial algorithm against the precomputed verdicts —
     advancing up to ``speculation`` levels per generation while recording
     exactly the serial probe sequence.  The result is therefore identical to
-    the serial search's, whatever the driver.
+    the serial search's, whatever the driver.  Bisection stops once the
+    bracket is within ``tolerance`` or its midpoint no longer falls strictly
+    inside it (float resolution), so every search terminates.
+
+    :raises AnalysisError: on a ``max_factor`` that is not a finite number
+        above 1, or a ``tolerance`` that is not above 0.
     """
-    if max_factor <= 1.0:
-        raise AnalysisError(f"max_factor must be > 1, got {max_factor}")
-    if tolerance <= 0:
+    if not (math.isfinite(max_factor) and max_factor > 1.0):
+        raise AnalysisError(f"max_factor must be a finite number > 1, got {max_factor}")
+    if not tolerance > 0:
         raise AnalysisError(f"tolerance must be > 0, got {tolerance}")
     driver.begin_search()
     speculation = driver.speculation
@@ -437,7 +454,7 @@ def bracket_search(
     if ok_high:
         return SensitivityResult(high, makespan_high, tuple(probes))
 
-    while high - low > tolerance:
+    while _bisects(low, high, tolerance):
         remaining = math.ceil(_remaining_levels(low, high, tolerance) / per_generation)
         if speculation:
             prober.ensure(
@@ -447,7 +464,7 @@ def bracket_search(
         # replay the serial bisection over the verdicts; a batched driver has
         # them precomputed, a serial one evaluates each mid on demand
         for _ in range(per_generation):
-            if high - low <= tolerance:
+            if not _bisects(low, high, tolerance):
                 break
             mid = (low + high) / 2.0
             prober.ensure(

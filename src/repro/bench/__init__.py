@@ -19,7 +19,6 @@ from .runner import (
     OLD_ALGORITHM,
     ComparisonResult,
     SweepConfig,
-    measure_algorithm_parallel,
     measure_sweep,
     run_comparison,
     workload_sweep,
@@ -42,7 +41,6 @@ __all__ = [
     "SweepConfig",
     "ComparisonResult",
     "workload_sweep",
-    "measure_algorithm_parallel",
     "measure_sweep",
     "run_comparison",
     "NEW_ALGORITHM",

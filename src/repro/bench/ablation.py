@@ -11,7 +11,7 @@
 Both ablations accept ``max_workers`` to fan their candidate problems out
 through the batch engine (:func:`repro.engine.analyze_many`) instead of a
 serial loop; timings then come from the in-worker wall clock of each
-schedule, like ``repro scaling --workers`` does.
+schedule.
 """
 
 from __future__ import annotations

@@ -10,13 +10,11 @@ fitted complexity exponents and per-size speedups.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..analysis import ComplexityFit, TimingPoint, TimingSeries, measure_algorithm
+from ..analysis import ComplexityFit, TimingSeries, measure_algorithm
 from ..core import AnalysisProblem
-from ..engine import ResultCache, analyze_many, default_worker_count
 from ..errors import GenerationError
 from ..generators import fixed_ls_workload, fixed_nl_workload
 
@@ -24,7 +22,6 @@ __all__ = [
     "SweepConfig",
     "ComparisonResult",
     "workload_sweep",
-    "measure_algorithm_parallel",
     "measure_sweep",
     "run_comparison",
 ]
@@ -133,106 +130,14 @@ class ComparisonResult:
         return rows
 
 
-def measure_algorithm_parallel(
-    problems: Iterable[Tuple[int, AnalysisProblem]],
-    algorithm: str,
-    *,
-    label: str = "",
-    max_workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    chunksize: Optional[int] = None,
-    runtime: Optional[object] = None,
-) -> TimingSeries:
-    """Parallel counterpart of :func:`repro.analysis.measure_algorithm`.
+def measure_sweep(config: SweepConfig, algorithm: str, *, label: str) -> TimingSeries:
+    """Time ``algorithm`` serially on every point of ``config``'s sweep.
 
-    The sweep is fanned out over the batch engine; each point's time is the
-    analyzer's own in-worker wall time (``Schedule.stats.wall_time_seconds``),
-    so the numbers stay in the same ballpark as serial measurements while the
-    sweep itself completes in a fraction of the wall clock.  Caveats: workers
-    running concurrently contend for memory bandwidth and cores, which can
-    inflate individual timings — use serial mode for measurement-grade numbers
-    feeding complexity fits or published tables.  Timeout cut-off and
-    repetitions are serial-mode features and do not apply here; cached points
-    report the wall time of the run that produced them.
-
-    ``runtime`` executes the sweep on a persistent
-    :class:`repro.service.EngineRuntime` — back-to-back sweeps (e.g. both
-    algorithms of a comparison) then share one warm pool instead of paying
-    pool startup per series.
+    Every point runs in this process through
+    :func:`repro.analysis.measure_algorithm`, with the configuration's
+    timeout cut-off and repetitions, so each time is an uncontended
+    measurement fit for the complexity fits and the published tables.
     """
-    pairs = list(problems)
-    schedules = analyze_many(
-        [problem for _, problem in pairs],
-        algorithm,
-        max_workers=max_workers,
-        cache=cache,
-        chunksize=chunksize,
-        runtime=runtime,
-    )
-    series = TimingSeries(label=label or algorithm, algorithm=algorithm)
-    for (size, _), schedule in zip(pairs, schedules):
-        series.add(
-            TimingPoint(
-                size=size,
-                seconds=schedule.stats.wall_time_seconds,
-                makespan=schedule.makespan,
-            )
-        )
-    return series
-
-
-def measure_sweep(
-    config: SweepConfig,
-    algorithm: str,
-    *,
-    label: str,
-    max_workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    runtime: Optional[object] = None,
-) -> TimingSeries:
-    """Measure ``algorithm`` on ``config``'s sweep, serially or via the engine.
-
-    ``max_workers=None`` means one worker per CPU, as everywhere in the engine
-    API; the default of ``1`` keeps measurement-grade serial timing.
-
-    The single switch between :func:`repro.analysis.measure_algorithm`
-    (serial: timeout cut-off, repetitions, uncontended timings) and
-    :func:`measure_algorithm_parallel` (engine fan-out) used by the comparison
-    and scaling studies.  Supplying a ``cache`` — or a persistent ``runtime``
-    (its workers and shared cache are then used; combine with
-    ``max_workers`` is rejected by the engine) — routes through the engine;
-    with ``max_workers=1`` that is the engine's serial fallback (no pool), so
-    cached sweeps work in serial mode too.  ``timeout_seconds`` / ``repetitions``
-    always win: when set, the sweep runs on the bounded serial path (with a
-    RuntimeWarning if the engine was also requested).
-    """
-    if runtime is not None:
-        engine_requested = True
-        max_workers = None
-    else:
-        if max_workers is None:
-            max_workers = default_worker_count()
-        engine_requested = max_workers > 1 or cache is not None
-    bounded = config.timeout_seconds is not None or config.repetitions > 1
-    if engine_requested and bounded:
-        # the timeout cut-off exists to keep intractable sweep points from
-        # running at all; boundedness beats parallelism, so fall back to the
-        # serial path rather than silently running an unbounded sweep
-        warnings.warn(
-            "measure_sweep: timeout_seconds/repetitions require the serial path; "
-            "running serially (engine fan-out and cache disabled for this sweep)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if engine_requested and not bounded:
-        return measure_algorithm_parallel(
-            workload_sweep(config),
-            algorithm,
-            label=label,
-            max_workers=max_workers,
-            cache=cache,
-            runtime=runtime,
-        )
     return measure_algorithm(
         workload_sweep(config),
         algorithm,
@@ -247,30 +152,15 @@ def run_comparison(
     *,
     run_baseline: bool = True,
     baseline_sizes: Optional[Sequence[int]] = None,
-    max_workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    runtime: Optional[object] = None,
 ) -> ComparisonResult:
     """Time both algorithms on the sweep described by ``config``.
 
     ``baseline_sizes`` restricts the (slow) baseline to a subset of the sizes —
     the same device the paper uses with its benchmark timeout; the incremental
-    algorithm always runs the full sweep.  ``max_workers > 1`` — or supplying a
-    ``cache`` or a persistent ``runtime`` (both series then share one warm
-    pool) — opts into the batch engine: points are then analysed through it
-    (in parallel when ``max_workers > 1``) and per-point times are in-worker
-    wall times.  ``timeout_seconds`` / ``repetitions`` take precedence over the
-    engine: when either is set the sweep runs on the bounded serial path and a
-    RuntimeWarning notes that the engine (and cache) were disabled.
+    algorithm always runs the full sweep.  Every point is timed serially
+    (:func:`measure_sweep`).
     """
-    new_series = measure_sweep(
-        config,
-        NEW_ALGORITHM,
-        label=f"{config.label}-new",
-        max_workers=max_workers,
-        cache=cache,
-        runtime=runtime,
-    )
+    new_series = measure_sweep(config, NEW_ALGORITHM, label=f"{config.label}-new")
     if run_baseline:
         if baseline_sizes is None:
             baseline_config = config
@@ -284,14 +174,7 @@ def run_comparison(
                 timeout_seconds=config.timeout_seconds,
                 repetitions=config.repetitions,
             )
-        old_series = measure_sweep(
-            baseline_config,
-            OLD_ALGORITHM,
-            label=f"{config.label}-old",
-            max_workers=max_workers,
-            cache=cache,
-            runtime=runtime,
-        )
+        old_series = measure_sweep(baseline_config, OLD_ALGORITHM, label=f"{config.label}-old")
     else:
         old_series = TimingSeries(label=f"{config.label}-old", algorithm=OLD_ALGORITHM)
     return ComparisonResult(config=config, new_series=new_series, old_series=old_series)

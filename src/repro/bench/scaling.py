@@ -55,36 +55,23 @@ def run_scaling_study(
     baseline_sizes: Tuple[int, ...] = (64, 128, 256),
     target_size: int = PAPER_SCALING_TARGET,
     seed: int = 2020,
-    max_workers: Optional[int] = 1,
-    runtime: Optional[object] = None,
 ) -> ScalingReport:
     """Measure the incremental algorithm up to ≥ ``target_size`` tasks.
 
     The baseline is only measured on ``baseline_sizes`` (small graphs) to fit
     its growth law; its runtime at the target size is extrapolated from that
-    fit rather than measured.  ``max_workers > 1`` fans the sweep points out
-    over the batch engine (per-point times are in-worker wall times); a
-    persistent ``runtime`` runs both series on one warm pool.
+    fit rather than measured.  Every point is timed serially
+    (:func:`~repro.bench.measure_sweep`).
     """
     new_config = SweepConfig(mode=mode, parameter=parameter, sizes=sizes, seed=seed)
-    new_series = measure_sweep(
-        new_config,
-        NEW_ALGORITHM,
-        label=f"{new_config.label}-scaling",
-        max_workers=max_workers,
-        runtime=runtime,
-    )
+    new_series = measure_sweep(new_config, NEW_ALGORITHM, label=f"{new_config.label}-scaling")
     baseline_fit: Optional[ComplexityFit] = None
     if baseline_sizes:
         baseline_config = SweepConfig(
             mode=mode, parameter=parameter, sizes=baseline_sizes, seed=seed
         )
         baseline_series = measure_sweep(
-            baseline_config,
-            OLD_ALGORITHM,
-            label=f"{baseline_config.label}-baseline",
-            max_workers=max_workers,
-            runtime=runtime,
+            baseline_config, OLD_ALGORITHM, label=f"{baseline_config.label}-baseline"
         )
         try:
             baseline_fit = baseline_series.fit()

@@ -55,7 +55,7 @@ from ..io import (
     write_batch_csv,
     write_schedule_csv,
 )
-from ..service import BACKENDS, AnalysisServer, EngineRuntime
+from ..service import AnalysisServer, EngineRuntime
 from ..viz import analysis_report, format_table
 
 __all__ = ["main", "build_parser"]
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  # one server: warm pool, persistent cache, JSON API on :8517\n"
             "  repro-rta serve --port 8517 --workers 8 --cache-dir ~/.cache/repro\n"
             "  # long-running host for ServiceClient callers on the network\n"
-            "  repro-rta serve --host 0.0.0.0 --port 8517 --recycle-after 10000\n"
+            "  repro-rta serve --host 0.0.0.0 --port 8517\n"
             "\n"
             "Endpoints: POST /analyze /batch /search, GET /stats /metrics\n"
             "(Prometheus text format) /healthz.  `--port 0` binds an ephemeral\n"
@@ -202,19 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8517, help="TCP port (0 picks an ephemeral port)"
     )
     serve.add_argument(
-        "--backend", choices=list(BACKENDS), default="process", help="worker-pool backend"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None, help="worker count (default: one per CPU)"
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes (default: one per CPU; 1 analyses in the server process)",
     )
     serve.add_argument(
         "--cache-dir", help="persistent result-cache directory (default: in-memory only)"
-    )
-    serve.add_argument(
-        "--recycle-after",
-        type=int,
-        default=None,
-        help="recycle pool workers after this many jobs (default: never)",
     )
     serve.add_argument("--algorithm", default="incremental", choices=available_algorithms())
     serve.add_argument(
@@ -270,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     scaling = subparsers.add_parser("scaling", help="reproduce the >8000-task scaling claim")
     scaling.add_argument("--target", type=int, default=8192, help="largest task count to analyse")
     scaling.add_argument("--seed", type=int, default=2020)
-    scaling.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan sweep points out over this many processes (timings become in-worker)",
-    )
 
     subparsers.add_parser("info", help="list algorithms and arbiters")
     return parser
@@ -523,12 +511,7 @@ def _command_search(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    runtime = EngineRuntime(
-        backend=args.backend,
-        max_workers=args.workers,
-        recycle_after=args.recycle_after,
-        cache=args.cache_dir,
-    )
+    runtime = EngineRuntime(max_workers=args.workers, cache=args.cache_dir)
     server = AnalysisServer(
         runtime,
         host=args.host,
@@ -548,7 +531,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     sys.stdout.write(f"serving on {server.url}\n")
     sys.stdout.flush()
     print(
-        f"runtime: backend={stats.backend} workers={stats.workers} "
+        f"runtime: workers={stats.workers} "
         f"cache={cache_text} algorithm={args.algorithm} "
         f"analysis-backend={stats.analysis_backend}",
         file=sys.stderr,
@@ -628,9 +611,7 @@ def _command_headline(args: argparse.Namespace) -> int:
 
 def _command_scaling(args: argparse.Namespace) -> int:
     sizes = tuple(sorted({512, 1024, 2048, 4096, max(args.target, 512)}))
-    report = run_scaling_study(
-        sizes=sizes, target_size=args.target, seed=args.seed, max_workers=args.workers
-    )
+    report = run_scaling_study(sizes=sizes, target_size=args.target, seed=args.seed)
     print(format_scaling_report(report))
     return 0
 

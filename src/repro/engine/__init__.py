@@ -12,9 +12,9 @@ throughput-oriented service layer:
 * :mod:`repro.engine.executor` — chunked pool fan-out with deterministic
   result ordering and streaming progress callbacks;
 * :mod:`repro.engine.runtime` — :class:`EngineRuntime`, the one code path
-  that executes a list of jobs: a persistent worker pool (``process`` /
-  ``thread`` / ``inline`` backends, worker recycling, shared result cache,
-  :class:`RuntimeStats` telemetry), or a transient one opened per call;
+  that executes a list of jobs: a persistent process pool (or a serial loop
+  at one worker) with a shared result cache and :class:`RuntimeStats`
+  telemetry, or a transient one opened per call;
 * :mod:`repro.engine.batch` — the high-level :func:`analyze_many` /
   :class:`BatchAnalyzer` front door.
 """
@@ -25,11 +25,10 @@ from .batch import BatchAnalyzer, BatchReport, analyze_many
 from .cache import CacheStats, ResultCache
 from .executor import ProgressCallback, ProgressEvent, default_worker_count
 from .jobs import SCHEMA_VERSION, AnalysisJob, canonical_problem_dict, problem_digest
-from .runtime import BACKENDS, EngineRuntime, RuntimeStats
+from .runtime import EngineRuntime, RuntimeStats
 from .store import SqliteStore, open_store
 
 __all__ = [
-    "BACKENDS",
     "AnalysisJob",
     "BatchAnalyzer",
     "BatchReport",

@@ -1,7 +1,7 @@
 """Chunked fan-out for analysis jobs, driven by :class:`~repro.engine.EngineRuntime`.
 
 :func:`run_jobs_on` executes a list of :class:`~repro.engine.jobs.AnalysisJob`
-on an executor the caller owns (the runtime's process or thread pool):
+on an executor the caller owns (the runtime's process pool):
 
 * jobs are grouped into *chunks* so per-task IPC overhead is amortized over
   many small problems (one pickled payload round-trip per chunk, not per job);
@@ -179,10 +179,9 @@ def run_jobs_serial(
 ) -> List[Schedule]:
     """Run ``jobs`` serially in-process: same registry path, no pool overhead.
 
-    What :class:`~repro.engine.EngineRuntime` runs when it has no pool (the
-    ``inline`` backend, or one worker).  Failure semantics match the pooled
-    path: every job runs, a :class:`~repro.errors.BatchExecutionError` is
-    raised at the end.
+    What :class:`~repro.engine.EngineRuntime` runs when it has no pool (one
+    worker).  Failure semantics match the pooled path: every job runs, a
+    :class:`~repro.errors.BatchExecutionError` is raised at the end.
     """
     jobs = list(jobs)
     total = len(jobs)
@@ -217,8 +216,8 @@ def run_jobs_on(
     """Run ``jobs`` on an already-constructed executor, in submission order.
 
     ``pool`` is anything with the :class:`concurrent.futures.Executor`
-    ``submit`` interface — in practice the process or thread pool owned by
-    an :class:`~repro.engine.EngineRuntime`.  The pool is *not* shut down
+    ``submit`` interface — in practice the process pool owned by an
+    :class:`~repro.engine.EngineRuntime`.  The pool is *not* shut down
     here; its lifetime belongs to the caller (which is exactly what makes
     warm reuse across batches possible).  ``workers`` sizes the default
     chunking so each worker gets a few chunks; a given ``chunksize`` is at

@@ -283,12 +283,12 @@ def _kernel_memo_get(digest: str) -> Optional[CompiledProblem]:
 def _kernel_memo_put(digest: str, kernel: CompiledProblem) -> CompiledProblem:
     """Insert into the bounded LRU memo; returns the kernel now memoized.
 
-    Called parent-side when a probe payload is built: thread-pool workers
-    share this process and hit the memo directly, and ``fork`` workers
-    inherit it — in both cases the parent problem is never compiled (or even
-    re-parsed) a second time.  Only ``spawn`` workers, which share nothing,
-    compile their own copy once per parent.  A kernel already memoized under
-    ``digest`` wins (another thread may have won the compile race).
+    Called parent-side when a probe payload is built: ``fork`` workers
+    started after that inherit the memo, so the parent problem is never
+    compiled (or even re-parsed) a second time.  ``spawn`` workers, which
+    share nothing, compile their own copy once per parent.  A kernel
+    already memoized under ``digest`` wins (another thread may have won the
+    compile race).
     """
     with _KERNEL_MEMO_LOCK:
         kernel = _KERNEL_MEMO.setdefault(digest, kernel)
@@ -485,8 +485,8 @@ class AnalysisJob:
             payload["arbiter"] = parent.problem.arbiter
             if problem.warm is not None:
                 payload["warm_start"] = problem.warm.schedule.to_dict()
-            # same-process workers (thread pools, fork children) reuse the
-            # live parent kernel instead of re-parsing and recompiling it
+            # fork children reuse the live parent kernel instead of
+            # re-parsing and recompiling it
             _kernel_memo_put(base_digest, parent)
         else:
             payload["problem"] = problem_to_dict(problem)

@@ -14,17 +14,11 @@ call's cache misses and closes it when the call returns.
 
 An :class:`EngineRuntime` has:
 
-* a pluggable backend — ``process`` (default; true parallelism),
-  ``thread`` (no pickling, useful for GIL-releasing plug-ins and tests) or
-  ``inline`` (no pool at all: strictly serial, deterministic debugging mode);
-  one worker also means no pool;
-* a pool built lazily on first use and reused by every subsequent batch —
-  a warm three-generation search performs **zero** additional pool
-  constructions (:attr:`EngineRuntime.pools_created` counts them, which is
-  also the test hook the acceptance suite asserts on);
-* worker *recycling* after ``recycle_after`` jobs: at the next idle batch
-  boundary the pool is torn down and rebuilt, bounding memory growth of
-  long-resident services;
+* a process pool above one worker, built lazily on first use and reused by
+  every subsequent batch — a warm three-generation search performs **zero**
+  additional pool constructions (:attr:`EngineRuntime.pools_created` counts
+  them, which is also the test hook the acceptance suite asserts on); one
+  worker means no pool at all, only a serial in-process loop;
 * a shared :class:`~repro.engine.ResultCache`, so every client of the
   runtime (batches, searches, the :mod:`repro.service` job queue and API
   server) hits one cache;
@@ -32,8 +26,8 @@ An :class:`EngineRuntime` has:
   jobs run, failures, cache hit/miss counters, and an EWMA of the per-job
   analyzer latency (from each schedule's in-worker wall time).
 
-Results are **bit-identical** on every backend and pool lifetime: the
-runtime drives the engine's own chunked executor
+Results are **bit-identical** with and without a pool, whatever its
+lifetime: the runtime drives the engine's own chunked executor
 (:func:`repro.engine.executor.run_jobs_on`) or its serial loop, so only the
 pool's lifetime changes, never the job semantics.
 
@@ -45,7 +39,7 @@ manager, or call :meth:`close` for a graceful shutdown.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -69,10 +63,7 @@ from .executor import (
 )
 from .jobs import AnalysisJob
 
-__all__ = ["BACKENDS", "RuntimeStats", "EngineRuntime"]
-
-#: supported worker-pool backends
-BACKENDS = ("process", "thread", "inline")
+__all__ = ["RuntimeStats", "EngineRuntime"]
 
 #: EWMA factor of the per-job latency telemetry
 _LATENCY_SMOOTHING = 0.2
@@ -90,9 +81,7 @@ def _analysis_backend() -> str:
 class RuntimeStats:
     """Telemetry snapshot of an :class:`EngineRuntime` (see :meth:`~EngineRuntime.stats`)."""
 
-    #: pool backend: ``process``, ``thread`` or ``inline``
-    backend: str
-    #: configured worker count (1 for the ``inline`` backend)
+    #: configured worker count (1 = serial, no pool)
     workers: int
     #: worker pools constructed so far (0 until the first pooled batch)
     pools_created: int
@@ -102,10 +91,6 @@ class RuntimeStats:
     jobs_completed: int
     #: jobs that raised in a worker
     jobs_failed: int
-    #: jobs after which the pool is recycled (None = never)
-    recycle_after: Optional[int]
-    #: jobs run on the current pool since it was (re)built
-    jobs_since_recycle: int
     #: exponentially weighted moving average of per-job analyzer wall time
     latency_ewma_seconds: Optional[float]
     #: hit/miss counters of the runtime's shared result cache
@@ -138,15 +123,12 @@ class RuntimeStats:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "backend": self.backend,
             "workers": self.workers,
             "pools_created": self.pools_created,
             "batches": self.batches,
             "jobs_completed": self.jobs_completed,
             "jobs_failed": self.jobs_failed,
             "jobs_run": self.jobs_run,
-            "recycle_after": self.recycle_after,
-            "jobs_since_recycle": self.jobs_since_recycle,
             "latency_ewma_seconds": self.latency_ewma_seconds,
             "cache": dict(self.cache),
             "kernel_compilations": self.kernel_compilations,
@@ -165,54 +147,33 @@ class RuntimeStats:
 class EngineRuntime:
     """Execution runtime owning one worker pool for its whole lifetime.
 
-    :param backend: pool flavour — ``process`` (default), ``thread`` or
-        ``inline`` (strictly serial, no pool).
-    :param max_workers: worker count; ``None`` uses one per CPU, ``1`` runs
-        serially with no pool.  Not meaningful with ``inline``.
-    :param recycle_after: tear the pool down and rebuild it once at least
-        this many jobs ran on it, at the next idle batch boundary (bounds
-        worker memory growth); ``None`` never recycles.
+    :param max_workers: worker count; ``None`` uses one per CPU.  Above one
+        the jobs run on a process pool, ``1`` runs them serially in-process
+        with no pool.
     :param cache: a :class:`~repro.engine.ResultCache`, a directory path
         (persistent store) or ``None`` (fresh memory-only cache); shared by
         every :class:`~repro.engine.BatchAnalyzer` and
         :class:`~repro.analysis.SearchDriver` bound to this runtime (unless
         they were given their own).
-    :raises ServiceError: on an unknown backend or an out-of-range parameter.
+    :raises ServiceError: on an out-of-range worker count.
     """
 
     def __init__(
         self,
         *,
-        backend: str = "process",
         max_workers: Optional[int] = None,
-        recycle_after: Optional[int] = None,
         cache: Union[ResultCache, PathLike, None] = None,
     ) -> None:
-        backend = str(backend).strip().lower()
-        if backend not in BACKENDS:
-            raise ServiceError(
-                f"unknown runtime backend {backend!r}; choose from {', '.join(BACKENDS)}"
-            )
         if max_workers is not None and max_workers < 1:
             raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
-        if recycle_after is not None and recycle_after < 1:
-            raise ServiceError(f"recycle_after must be >= 1, got {recycle_after}")
-        self.backend = backend
-        if backend == "inline":
-            self.max_workers = 1
-        else:
-            self.max_workers = (
-                default_worker_count() if max_workers is None else int(max_workers)
-            )
-        self.recycle_after = recycle_after
+        self.max_workers = default_worker_count() if max_workers is None else int(max_workers)
         self.cache = cache if isinstance(cache, ResultCache) else ResultCache(path=cache)
         self._latency_ewma: Optional[float] = None
         self._latency_histogram = obs.Histogram()
         #: worker pools constructed so far — the acceptance-test hook proving
         #: that N batches + a whole search share a single construction
         self.pools_created = 0
-        self._pool: Optional[Any] = None
-        self._pool_jobs = 0  # jobs run on the current pool (recycling trigger)
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._active = 0  # batches currently executing on the pool
         self._closed = False
         self._batches = 0
@@ -230,52 +191,29 @@ class EngineRuntime:
         """Configured worker count (what adaptive speculation scales from)."""
         return self.max_workers
 
-    def _build_pool(self) -> Any:
-        if self.backend == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-runtime"
-            )
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers, mp_context=_pool_context()
-        )
-
-    def _acquire_pool(self) -> Optional[Any]:
+    def _acquire_pool(self) -> Optional[ProcessPoolExecutor]:
         """Register one running batch; returns the shared pool (None = serial).
 
-        Recycling happens here, at a batch boundary, and only while no other
-        batch is executing — a pool is never torn down under a running batch.
+        A runtime with more than one worker builds its pool on the first
+        batch that needs one.  The batch counts as running only once the pool
+        exists: a failed build (e.g. an invalid start method) must not leave
+        :meth:`close` waiting for a batch that never started.
         """
         with self._cond:
             if self._closed:
                 raise ServiceError("runtime is closed")
-            if self.backend == "inline" or self.max_workers == 1:
-                # no pool: the batch runs serially and only needs the
-                # running-batch accounting
-                self._active += 1
-                return None
-            due = (
-                self._pool is not None
-                and self.recycle_after is not None
-                and self._pool_jobs >= self.recycle_after
-            )
-            if due and self._active == 0:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-                self._pool_jobs = 0
-            if self._pool is None:
-                with obs.span(
-                    "runtime.pool_build", backend=self.backend, workers=self.max_workers
-                ):
-                    self._pool = self._build_pool()
+            if self.max_workers > 1 and self._pool is None:
+                with obs.span("runtime.pool_build", workers=self.max_workers):
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=self.max_workers, mp_context=_pool_context()
+                    )
                 self.pools_created += 1
-                self._pool_jobs = 0
             self._active += 1
             return self._pool
 
-    def _release_pool(self, jobs_run: int) -> None:
+    def _release_pool(self) -> None:
         with self._cond:
             self._active -= 1
-            self._pool_jobs += jobs_run
             self._cond.notify_all()
 
     def close(self) -> None:
@@ -317,9 +255,8 @@ class EngineRuntime:
 
         An eligible overlay generation runs as one array pass; otherwise the
         jobs run on the warm pool, or serially in-process when the runtime
-        has no pool (``inline`` backend or one worker).  ``chunksize=None``
-        picks a chunk size that gives each worker a few chunks (load
-        balancing without per-job IPC).  A failing job does not abort the
+        has one worker.  ``chunksize=None`` picks a chunk size that gives
+        each worker a few chunks (load balancing without per-job IPC).  A failing job does not abort the
         batch (a :class:`~repro.errors.BatchExecutionError` carrying the
         completed schedules is raised at the end).  Thread-safe: concurrent
         batches share the pool.
@@ -334,7 +271,7 @@ class EngineRuntime:
         jobs = list(jobs)
         if not jobs:
             return []
-        with obs.span("runtime.batch", backend=self.backend, jobs=len(jobs)):
+        with obs.span("runtime.batch", jobs=len(jobs)):
             # an eligible overlay generation (same-kernel fixedpoint probes,
             # vector backend resolved) runs as one in-process 2-D array pass —
             # no pool acquisition, no payload pickling, bit-identical results.
@@ -346,7 +283,7 @@ class EngineRuntime:
             try:
                 batched = run_generation_batched(jobs, progress)
             finally:
-                self._release_pool(0)
+                self._release_pool()
             if batched is not None:
                 self._record(jobs, batched)
                 return batched
@@ -366,7 +303,7 @@ class EngineRuntime:
                 self._record(jobs, exc.results)
                 raise
             finally:
-                self._release_pool(len(jobs))
+                self._release_pool()
             self._record(jobs, results)
             return results
 
@@ -394,18 +331,25 @@ class EngineRuntime:
     # telemetry
     # ------------------------------------------------------------------
 
+    @property
+    def latency_ewma_seconds(self) -> Optional[float]:
+        """EWMA of the per-job analyzer wall time (None before the first job).
+
+        The one figure :class:`~repro.analysis.SearchDriver` sizes its
+        lookahead from; unlike :meth:`stats` it does not query the cache.
+        """
+        with self._cond:
+            return self._latency_ewma
+
     def stats(self) -> RuntimeStats:
         """Consistent telemetry snapshot of the runtime (cheap, lock-guarded)."""
         with self._cond:
             return RuntimeStats(
-                backend=self.backend,
                 workers=self.max_workers,
                 pools_created=self.pools_created,
                 batches=self._batches,
                 jobs_completed=self._jobs_completed,
                 jobs_failed=self._jobs_failed,
-                recycle_after=self.recycle_after,
-                jobs_since_recycle=self._pool_jobs,
                 latency_ewma_seconds=self._latency_ewma,
                 cache=self.cache.stats_dict(),
                 kernel_compilations=_kernel_compilations(),

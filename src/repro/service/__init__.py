@@ -5,11 +5,11 @@ when the call returns.  This package keeps one :class:`EngineRuntime` warm
 for the life of a process and turns the analysis into a *resident* service:
 
 * :class:`EngineRuntime` (defined in :mod:`repro.engine.runtime`, re-exported
-  here) — one persistent worker pool (``process`` / ``thread`` / ``inline``
-  backends, worker recycling, shared result cache, :class:`RuntimeStats`
-  telemetry) reused by every batch and every search generation;
-* :mod:`repro.service.queue` — :class:`JobQueue`, asynchronous submission
-  with futures, priorities, coalescing of content-identical in-flight jobs
+  here) — one persistent process pool (a serial loop at one worker), a
+  shared result cache and :class:`RuntimeStats` telemetry, reused by every
+  batch and every search generation;
+* :mod:`repro.service.queue` — :class:`JobQueue`, asynchronous FIFO
+  submission with futures, coalescing of content-identical in-flight jobs
   and bounded backpressure;
 * :mod:`repro.service.server` — :class:`AnalysisServer`, a stdlib-only HTTP
   JSON API (``POST /analyze``, ``POST /batch``, ``POST /search``,
@@ -28,14 +28,13 @@ boots one server; a deployment runs one per host, each driven by
 :class:`ServiceClient` callers.
 """
 
-from ..engine.runtime import BACKENDS, EngineRuntime, RuntimeStats
+from ..engine.runtime import EngineRuntime, RuntimeStats
 from .client import ServiceClient
 from .metrics import render_prometheus_metrics
 from .queue import JobQueue, QueueStats
 from .server import AnalysisServer
 
 __all__ = [
-    "BACKENDS",
     "EngineRuntime",
     "RuntimeStats",
     "JobQueue",

@@ -204,7 +204,6 @@ class ServiceClient:
         problem: AnalysisProblem,
         *,
         algorithm: Optional[str] = None,
-        priority: int = 0,
     ) -> Schedule:
         """Analyse one problem remotely; returns its :class:`Schedule`.
 
@@ -213,14 +212,12 @@ class ServiceClient:
             wire.  A custom arbiter parameterization raises instead.
         :param algorithm: analysis algorithm name; ``None`` uses the server's
             default.  The name must resolve in the *server's* registry.
-        :param priority: queue priority — higher values drain first when the
-            server's queue backs up behind a running batch.
         :raises ServiceError: on an arbiter the document cannot carry, on
             transport failures or error responses (``status`` carries the
             HTTP code when there is one).
         :raises SerializationError: if the response schedule is malformed.
         """
-        document: Dict[str, Any] = {"problem": _problem_document(problem), "priority": priority}
+        document: Dict[str, Any] = {"problem": _problem_document(problem)}
         if algorithm is not None:
             document["algorithm"] = algorithm
         response = self._request("POST", "/analyze", document)
@@ -231,7 +228,6 @@ class ServiceClient:
         problems: Iterable[AnalysisProblem],
         *,
         algorithm: Optional[str] = None,
-        priority: int = 0,
     ) -> List[Schedule]:
         """Analyse many problems remotely; schedules in submission order.
 
@@ -243,7 +239,6 @@ class ServiceClient:
             ``POST /batch`` request (one timeout window covers all of it).
         :param algorithm: analysis algorithm name; ``None`` uses the server's
             default.
-        :param priority: queue priority shared by every job of the batch.
         :raises BatchExecutionError: when some jobs failed on the server —
             ``results`` holds the completed schedules (``None`` at failed
             positions) and ``failures`` maps submission indices to messages.
@@ -253,7 +248,6 @@ class ServiceClient:
         problems = list(problems)
         document: Dict[str, Any] = {
             "problems": [_problem_document(problem) for problem in problems],
-            "priority": priority,
         }
         if algorithm is not None:
             document["algorithm"] = algorithm
@@ -264,7 +258,6 @@ class ServiceClient:
         probes: Iterable[OverlayProblem],
         *,
         algorithm: Optional[str] = None,
-        priority: int = 0,
     ) -> List[Schedule]:
         """Analyse many probes of one parent kernel as one delta batch.
 
@@ -294,7 +287,6 @@ class ServiceClient:
         document: Dict[str, Any] = {
             "problem": _problem_document(parent.problem),
             "deltas": [delta_to_dict(probe) for probe in probes],
-            "priority": priority,
         }
         if algorithm is not None:
             document["algorithm"] = algorithm

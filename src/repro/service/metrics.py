@@ -29,7 +29,6 @@ _SERIES: Tuple[Tuple[str, str, str, str, str], ...] = (
     ("runtime", "batches", "repro_runtime_batches_total", "counter", "Batches executed through the runtime"),
     ("runtime", "jobs_completed", "repro_runtime_jobs_completed_total", "counter", "Jobs that completed with a schedule"),
     ("runtime", "jobs_failed", "repro_runtime_jobs_failed_total", "counter", "Jobs that raised in a worker"),
-    ("runtime", "jobs_since_recycle", "repro_runtime_jobs_since_recycle", "gauge", "Jobs run on the current pool since it was (re)built"),
     ("runtime", "latency_ewma_seconds", "repro_runtime_latency_ewma_seconds", "gauge", "EWMA of per-job analyzer wall time"),
     ("runtime", "kernel_compilations", "repro_runtime_kernel_compilations_total", "counter", "Problem-kernel compilations in the service process"),
     ("runtime", "vector_sweeps", "repro_runtime_vector_sweeps_total", "counter", "Vectorized Jacobi sweeps executed in the service process"),
@@ -146,7 +145,6 @@ def render_prometheus_metrics(stats: Dict[str, Any]) -> str:
     server = stats.get("server") or {}
     info_labels = (
         f'version="{_escape_label(server.get("version", ""))}",'
-        f'backend="{_escape_label(runtime.get("backend", ""))}",'
         f'algorithm="{_escape_label(server.get("default_algorithm", ""))}"'
     )
     if runtime.get("analysis_backend"):

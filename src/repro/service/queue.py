@@ -6,12 +6,10 @@ requests.  The :class:`JobQueue` bridges the two:
 * :meth:`~JobQueue.submit` enqueues one problem and immediately returns a
   :class:`concurrent.futures.Future` resolving to its
   :class:`~repro.core.Schedule`;
-* a dispatcher thread drains everything queued at each wake-up and runs it as
-  **one** batch through a cache-backed :class:`~repro.engine.BatchAnalyzer`
-  bound to the runtime — concurrent clients are automatically batched
-  together and fan out over the warm pool;
-* **priorities**: higher ``priority`` submissions are drained first when the
-  queue backs up behind a running batch (ties are FIFO);
+* a dispatcher thread drains everything queued at each wake-up, in
+  submission order, and runs it as **one** batch through a cache-backed
+  :class:`~repro.engine.BatchAnalyzer` bound to the runtime — concurrent
+  clients are automatically batched together and fan out over the warm pool;
 * **coalescing**: a submission whose problem content digest (cache key:
   digest + algorithm + schema version) matches a queued *or in-flight* job
   does not enqueue new work — its future attaches to the existing job and
@@ -29,8 +27,6 @@ draining the remaining work first.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
 import time
 from concurrent.futures import Future
@@ -91,8 +87,6 @@ class _Entry:
         "key",
         "problem",
         "algorithm",
-        "priority",
-        "seq",
         "waiters",
         "enqueued",
         "tracer",
@@ -104,14 +98,10 @@ class _Entry:
         key: str,
         problem: Union[AnalysisProblem, OverlayProblem],
         algorithm: str,
-        priority: int,
-        seq: int,
     ) -> None:
         self.key = key
         self.problem = problem
         self.algorithm = algorithm
-        self.priority = priority
-        self.seq = seq
         #: (future, problem name) pairs; the first is the originating submission
         self.waiters: List[Tuple[Future, str]] = []
         #: submission instant (wait-time telemetry reference point)
@@ -123,14 +113,14 @@ class _Entry:
 
 
 class JobQueue:
-    """Priority job queue with digest coalescing and bounded backpressure.
+    """FIFO job queue with digest coalescing and bounded backpressure.
 
     Coalescing (see the module docs) always applies, so a drained batch never
     holds two entries of one content key.
 
     :param runtime: the :class:`~repro.engine.EngineRuntime` the drained
         batches execute on (its shared result cache serves repeat content
-        without any analyzer invocation).  Any backend works.
+        without any analyzer invocation).
     :param algorithm: default per-submission algorithm name.
     :param max_pending: bound on queued (not yet running) jobs; at the bound
         :meth:`submit` blocks, then raises
@@ -152,8 +142,7 @@ class JobQueue:
         self.algorithm = algorithm
         self.max_pending = int(max_pending)
         self._cond = threading.Condition()
-        self._seq = itertools.count()
-        self._heap: List[Tuple[int, int, _Entry]] = []  # (-priority, seq, entry)
+        self._pending: List[_Entry] = []  # submission order
         self._queued: Dict[str, _Entry] = {}  # cache key -> queued entry
         self._running: Dict[str, _Entry] = {}  # cache key -> in-flight entry
         self._closed = False
@@ -178,7 +167,6 @@ class JobQueue:
         problem: Union[AnalysisProblem, OverlayProblem],
         *,
         algorithm: Optional[str] = None,
-        priority: int = 0,
         timeout: Optional[float] = None,
     ) -> "Future[Schedule]":
         """Enqueue ``problem``; returns a future resolving to its schedule.
@@ -188,14 +176,13 @@ class JobQueue:
         Coalesced submissions (identical content digest + algorithm already
         queued or running) never block — they add no work.
         """
-        return self.map([problem], algorithm=algorithm, priority=priority, timeout=timeout)[0]
+        return self.map([problem], algorithm=algorithm, timeout=timeout)[0]
 
     def map(
         self,
         problems: List[Union[AnalysisProblem, OverlayProblem]],
         *,
         algorithm: Optional[str] = None,
-        priority: int = 0,
         timeout: Optional[float] = None,
     ) -> List["Future[Schedule]"]:
         """Submit every problem as one burst; futures in submission order.
@@ -226,7 +213,7 @@ class JobQueue:
                 existing = self._queued.get(key) or self._running.get(key)
                 while (
                     existing is None
-                    and len(self._heap) >= self.max_pending
+                    and len(self._pending) >= self.max_pending
                     and not self._closed
                 ):
                     # wake the dispatcher first: the entries enqueued so far
@@ -251,9 +238,9 @@ class JobQueue:
                     existing.waiters.append((future, problem.name))
                     self._coalesced += 1
                     continue
-                entry = _Entry(key, problem, algorithm, int(priority), next(self._seq))
+                entry = _Entry(key, problem, algorithm)
                 entry.waiters.append((future, problem.name))
-                heapq.heappush(self._heap, (-entry.priority, entry.seq, entry))
+                self._pending.append(entry)
                 self._queued[key] = entry
             self._cond.notify_all()
         return futures
@@ -263,14 +250,12 @@ class JobQueue:
     # ------------------------------------------------------------------
 
     def _drain(self) -> List[_Entry]:
-        """Take every queued entry, highest priority first (under the lock)."""
-        batch: List[_Entry] = []
+        """Take every queued entry, in submission order (under the lock)."""
+        batch, self._pending = self._pending, []
         drained_wall = time.time()
-        while self._heap:
-            _, _, entry = heapq.heappop(self._heap)
+        for entry in batch:
             del self._queued[entry.key]
             self._running[entry.key] = entry
-            batch.append(entry)
             wait = max(time.perf_counter() - entry.enqueued, 0.0)
             self._wait_histogram.observe(wait)
             if entry.tracer is not None:
@@ -280,16 +265,15 @@ class JobQueue:
                     start=drained_wall - wait,
                     parent_id=entry.parent_span_id,
                     problem=entry.problem.name,
-                    priority=entry.priority,
                 )
         return batch
 
     def _dispatch_loop(self) -> None:
         while True:
             with self._cond:
-                while not self._heap and not self._closed:
+                while not self._pending and not self._closed:
                     self._cond.wait()
-                if not self._heap and self._closed:
+                if not self._pending and self._closed:
                     return
                 batch = self._drain()
                 self._batches += 1
@@ -387,7 +371,7 @@ class JobQueue:
     def pending(self) -> int:
         """Jobs queued but not yet drained into a batch."""
         with self._cond:
-            return len(self._heap)
+            return len(self._pending)
 
     def close(self, *, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop accepting work and shut the dispatcher down.
@@ -400,10 +384,9 @@ class JobQueue:
         with self._cond:
             self._closed = True
             if not drain:
-                while self._heap:
-                    _, _, entry = heapq.heappop(self._heap)
+                cancelled, self._pending = self._pending, []
+                for entry in cancelled:
                     del self._queued[entry.key]
-                    cancelled.append(entry)
             self._cond.notify_all()
         cancelled_futures = sum(
             1 for entry in cancelled for future, _ in entry.waiters if future.cancel()
@@ -429,7 +412,7 @@ class JobQueue:
                 coalesced=self._coalesced,
                 cancelled=self._cancelled,
                 batches=self._batches,
-                pending=len(self._heap),
+                pending=len(self._pending),
                 in_flight=len(self._running),
                 max_pending=self.max_pending,
                 wait_histogram=self._wait_histogram.to_dict(),

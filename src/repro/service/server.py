@@ -2,7 +2,7 @@
 
 :class:`AnalysisServer` binds an :class:`~repro.service.EngineRuntime` (warm
 worker pool + shared result cache) and a :class:`~repro.service.JobQueue`
-(priorities, digest coalescing, backpressure) to a
+(digest coalescing, backpressure) to a
 :class:`http.server.ThreadingHTTPServer`.  Problems and schedules travel in
 the :mod:`repro.io` JSON formats, so anything that can produce a
 ``repro-problem`` document can talk to the service — including the thin
@@ -11,13 +11,13 @@ the :mod:`repro.io` JSON formats, so anything that can produce a
 Endpoints
 ---------
 ``POST /analyze``
-    ``{"problem": <repro-problem>, "algorithm"?, "priority"?}`` →
+    ``{"problem": <repro-problem>, "algorithm"?}`` →
     ``{"schedule": <schedule dict>, "schedulable", "makespan"}``.
     The job goes through the queue: concurrent clients are batched onto the
     warm pool, identical in-flight content is coalesced, and repeat content
     is served from the cache without an analyzer invocation.
 ``POST /batch``
-    ``{"problems": [<repro-problem>...], "algorithm"?, "priority"?}`` →
+    ``{"problems": [<repro-problem>...], "algorithm"?}`` →
     a ``repro-batch`` document (``batch_results_to_dict``) plus a
     ``failures`` map for jobs that raised (``schedules`` holds ``null`` at
     failed positions, in submission order — the engine's partial-failure
@@ -49,8 +49,9 @@ Endpoints
 ``GET /healthz``
     Liveness probe.
 
-Errors come back as ``{"error": "..."}`` with 400 (bad request), 404, 405,
-422 (analysis failed) or 500.
+Unknown top-level keys of a request body are ignored.  Errors come back as
+``{"error": "..."}`` with 400 (bad request), 404, 405, 422 (analysis failed)
+or 500.
 """
 
 from __future__ import annotations
@@ -210,7 +211,19 @@ class AnalysisServer:
                 try:
                     document: Dict[str, Any] = {}
                     if method == "POST":
-                        length = int(self.headers.get("Content-Length") or 0)
+                        header = self.headers.get("Content-Length") or "0"
+                        try:
+                            length = int(header)
+                        except ValueError:
+                            length = -1
+                        if length < 0:
+                            # rfile.read(-1) would block until the client
+                            # closes its keep-alive connection; a body with
+                            # no length cannot be framed, so the connection
+                            # ends after the reply (an unread body would
+                            # otherwise be parsed as the next request)
+                            self.close_connection = True
+                            raise _BadRequest(f"invalid Content-Length {header}")
                         raw = self.rfile.read(length) if length else b""
                         try:
                             document = json.loads(raw.decode("utf-8")) if raw else {}
@@ -324,11 +337,9 @@ class AnalysisServer:
     def handle_analyze(self, document: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         problem = _parse_problem(document)
         algorithm = document.get("algorithm")
-        priority = int(document.get("priority", 0))
         future = self.queue.submit(
             problem,
             algorithm=None if algorithm is None else str(algorithm),
-            priority=priority,
             timeout=self.submit_timeout,
         )
         schedule = future.result()
@@ -341,7 +352,6 @@ class AnalysisServer:
     def handle_batch(self, document: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         algorithm = document.get("algorithm")
         algorithm = None if algorithm is None else str(algorithm)
-        priority = int(document.get("priority", 0))
         for retired in ("overlays", "structure_deltas"):
             if retired in document:
                 raise _BadRequest(
@@ -349,9 +359,7 @@ class AnalysisServer:
                     "in one 'deltas' list next to the 'problem'"
                 )
         if "deltas" in document:
-            problems = self._parse_delta_batch(
-                document, algorithm=algorithm, priority=priority
-            )
+            problems = self._parse_delta_batch(document, algorithm=algorithm)
         else:
             records = document.get("problems")
             if not isinstance(records, list) or not records:
@@ -364,12 +372,7 @@ class AnalysisServer:
                     problems.append(problem_from_dict(record))
                 except SerializationError as exc:
                     raise _BadRequest(f"problems[{position}]: {exc}") from exc
-        futures = self.queue.map(
-            problems,
-            algorithm=algorithm,
-            priority=priority,
-            timeout=self.submit_timeout,
-        )
+        futures = self.queue.map(problems, algorithm=algorithm, timeout=self.submit_timeout)
         schedules: List[Optional[Any]] = []
         failures: Dict[str, str] = {}
         for position, future in enumerate(futures):
@@ -391,11 +394,7 @@ class AnalysisServer:
         return 200, response
 
     def _parse_delta_batch(
-        self,
-        document: Dict[str, Any],
-        *,
-        algorithm: Optional[str],
-        priority: int,
+        self, document: Dict[str, Any], *, algorithm: Optional[str]
     ) -> List[Any]:
         """Delta-form batch: one parent problem + N delta records.
 
@@ -426,7 +425,6 @@ class AnalysisServer:
                 parent_schedule = self.queue.submit(
                     kernel.with_overlay(ParamOverlay(), name=base.name),
                     algorithm=algorithm,
-                    priority=priority,
                     timeout=self.submit_timeout,
                 ).result()
             except QueueFullError:

@@ -8,6 +8,8 @@ invocations (proven through the cache's hit/miss counters).
 
 from __future__ import annotations
 
+import math
+import signal
 from typing import List
 
 import pytest
@@ -23,6 +25,7 @@ from repro.analysis import (
     scale_memory_demand,
     wcet_sensitivity,
 )
+from repro.analysis.search import _bisection_ladder, _remaining_levels
 from repro.analysis.sensitivity import SensitivityResult
 from repro.errors import AnalysisError
 from repro.examples_data import figure1_problem
@@ -32,6 +35,21 @@ from repro.generators import fixed_ls_workload
 def _workload_problem(seed: int = 1, horizon: int = None):
     problem = fixed_ls_workload(24, 4, core_count=4, seed=seed).to_problem()
     return problem.with_horizon(horizon) if horizon is not None else problem
+
+
+def _within(seconds: int, call):
+    """Run ``call``, raising TimeoutError if it is still running after ``seconds``."""
+
+    def _expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestBatchedSerialEquivalence:
@@ -203,6 +221,11 @@ class TestDriver:
             memory_sensitivity(problem, max_factor=1.0)
         with pytest.raises(AnalysisError):
             memory_sensitivity(problem, tolerance=0.0)
+        for max_factor in (float("nan"), float("inf")):
+            with pytest.raises(AnalysisError, match="max_factor"):
+                memory_sensitivity(problem, max_factor=max_factor)
+        with pytest.raises(AnalysisError, match="tolerance"):
+            memory_sensitivity(problem, tolerance=float("nan"))
 
     def test_sensitivity_requires_horizon_with_driver_too(self):
         with pytest.raises(AnalysisError):
@@ -264,9 +287,9 @@ class TestAdaptiveSpeculation:
     def test_driver_defaults_speculation_from_runtime_workers(self):
         from repro.service import EngineRuntime
 
-        with EngineRuntime(backend="thread", max_workers=4) as runtime:
+        with EngineRuntime(max_workers=4) as runtime:
             assert SearchDriver(runtime=runtime).speculation == 3
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             assert SearchDriver(runtime=runtime).speculation == 1
 
     def test_explicit_speculation_still_pins_the_lookahead(self):
@@ -276,9 +299,29 @@ class TestAdaptiveSpeculation:
     def test_serial_driver_rejects_runtime(self):
         from repro.service import EngineRuntime
 
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             with pytest.raises(AnalysisError, match="serial"):
                 SearchDriver(batch=False, runtime=runtime)
+
+    def test_adaptive_driver_sizes_lookahead_without_a_cache_scan(
+        self, tmp_path, monkeypatch
+    ):
+        """Reading the latency EWMA must not count the persistent store's rows."""
+        from repro.engine import ResultCache, analyze_many
+        from repro.service import EngineRuntime
+
+        with EngineRuntime(max_workers=1, cache=tmp_path / "cache") as runtime:
+            analyze_many([_workload_problem(seed) for seed in range(2)], runtime=runtime)
+            latency = runtime.latency_ewma_seconds
+            assert latency is not None and latency > 0
+
+            def _no_scan(self):
+                raise AssertionError("ResultCache.stats_dict was called")
+
+            monkeypatch.setattr(ResultCache, "stats_dict", _no_scan)
+            driver = SearchDriver(runtime=runtime)  # adaptive speculation
+            driver.begin_search()
+            assert driver.speculation == adaptive_speculation(1, latency)
 
     def test_adaptive_default_verdicts_identical_to_serial(self):
         problem = figure1_problem().with_horizon(12)
@@ -288,6 +331,67 @@ class TestAdaptiveSpeculation:
             assert memory_sensitivity(
                 problem, max_factor=16.0, tolerance=0.1, driver=driver
             ) == serial
+
+
+class TestTermination:
+    """Bisection stops at float resolution, whatever the tolerance."""
+
+    @staticmethod
+    def _problem():
+        problem = fixed_ls_workload(16, 4, core_count=4, seed=1).to_problem()
+        return problem.with_horizon(int(minimal_horizon(problem) * 1.5))
+
+    @pytest.mark.parametrize("speculation", [None, 3])
+    def test_tolerance_below_float_resolution_terminates(self, speculation):
+        problem = self._problem()
+        reference = memory_sensitivity(problem, max_factor=16.0, tolerance=1e-9)
+        events: List[SearchProgressEvent] = []
+        driver = (
+            None
+            if speculation is None
+            else SearchDriver(max_workers=1, speculation=speculation, progress=events.append)
+        )
+        result = _within(
+            30,
+            lambda: memory_sensitivity(
+                problem, max_factor=16.0, tolerance=1e-300, driver=driver
+            ),
+        )
+        assert result.probes[: len(reference.probes)] == reference.probes
+        assert len(result.probes) > len(reference.probes)
+        factors = [factor for factor, _ in result.probes]
+        assert len(set(factors)) == len(factors)  # no probe is repeated
+        if driver is not None:
+            assert result == memory_sensitivity(problem, max_factor=16.0, tolerance=1e-300)
+            assert events[-1].remaining_generations == 0
+
+    def test_wcet_search_below_float_resolution_terminates(self):
+        problem = self._problem()
+        reference = wcet_sensitivity(problem, max_factor=16.0, tolerance=1e-9)
+        result = _within(
+            30, lambda: wcet_sensitivity(problem, max_factor=16.0, tolerance=1e-300)
+        )
+        assert result.probes[: len(reference.probes)] == reference.probes
+        assert len(result.probes) > len(reference.probes)
+        factors = [factor for factor, _ in result.probes]
+        assert len(set(factors)) == len(factors)
+
+    def test_ladder_prunes_where_the_midpoint_leaves_the_bracket(self):
+        """The speculative ladder stops by the search loop's own rule."""
+        one_ulp = math.nextafter(1.0, 2.0)
+        two_ulps = math.nextafter(one_ulp, 2.0)
+        assert _bisection_ladder(1.0, one_ulp, 3, 1e-300) == []
+        assert _bisection_ladder(1.0, two_ulps, 3, 1e-300) == [one_ulp]
+        assert _bisection_ladder(1.0, 2.0, 2, 0.1) == [1.5, 1.25, 1.75]
+
+    def test_remaining_levels_are_bounded_by_float_resolution(self):
+        one_ulp = math.nextafter(1.0, 2.0)
+        assert _remaining_levels(1.0, one_ulp, 1e-300) == 0
+        assert _remaining_levels(1.0, math.nextafter(one_ulp, 2.0), 1e-300) == 1
+        assert _remaining_levels(1.0, 2.0, 0.1) == 4
+        # a double carries 53 significant bits: the bracket [1, 16] runs out
+        # of midpoints long before a 1e-300 tolerance would be met
+        assert _remaining_levels(1.0, 16.0, 1e-300) <= 64
 
 
 class TestDemandRoundingRegression:

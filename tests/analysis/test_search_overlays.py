@@ -47,7 +47,7 @@ def _legacy_rebuild_search(problem, kind, driver, max_factor=16.0, tolerance=0.0
 
 class TestCompileOnceAcceptance:
     def test_warm_memory_sensitivity_compiles_base_exactly_once(self, problem):
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             driver = SearchDriver(runtime=runtime)
             before = compilation_count()
             result = memory_sensitivity(problem, driver=driver)
@@ -55,7 +55,7 @@ class TestCompileOnceAcceptance:
             assert result.breaking_factor > 0
 
     def test_warm_wcet_sensitivity_compiles_base_exactly_once(self, problem):
-        with EngineRuntime(backend="thread", max_workers=4) as runtime:
+        with EngineRuntime(max_workers=4) as runtime:
             driver = SearchDriver(runtime=runtime)
             before = compilation_count()
             result = wcet_sensitivity(problem, driver=driver)
@@ -84,7 +84,7 @@ class TestTraceParityWithLegacyPath:
             problem, kind, SearchDriver(batch=False)
         )
         search = memory_sensitivity if kind == "memory" else wcet_sensitivity
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             batched = search(problem, driver=SearchDriver(runtime=runtime))
         assert batched == legacy  # breaking factor, makespan AND probe trace
 
@@ -118,7 +118,7 @@ class TestLatencyAdaptiveSpeculation:
         assert adaptive_speculation(2, latency_ewma_seconds=1e-12) == MAX_SPECULATION
 
     def test_driver_repicks_speculation_from_runtime_ewma(self, problem):
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             driver = SearchDriver(runtime=runtime)
             initial = driver.speculation
             # a first search feeds the runtime's latency EWMA (tiny problems
@@ -129,7 +129,7 @@ class TestLatencyAdaptiveSpeculation:
             assert driver.speculation > initial
 
     def test_pinned_speculation_is_never_repicked(self, problem):
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             driver = SearchDriver(runtime=runtime, speculation=2)
             memory_sensitivity(problem, driver=driver)
             driver.begin_search()
@@ -138,7 +138,7 @@ class TestLatencyAdaptiveSpeculation:
     def test_verdict_is_speculation_invariant(self, problem):
         results = []
         for speculation in (1, 3, MAX_SPECULATION):
-            with EngineRuntime(backend="inline") as runtime:
+            with EngineRuntime(max_workers=1) as runtime:
                 driver = SearchDriver(runtime=runtime, speculation=speculation)
                 results.append(memory_sensitivity(problem, driver=driver))
         assert results[0] == results[1] == results[2]

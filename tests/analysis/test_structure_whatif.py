@@ -79,7 +79,7 @@ class TestStructuralWhatIf:
         from repro.core import compilation_count
 
         grid = remap_grid(problem)[:8] + edge_grid(problem, limit=4)
-        with EngineRuntime(backend="thread", max_workers=2) as runtime:
+        with EngineRuntime(max_workers=2) as runtime:
             driver = SearchDriver(runtime=runtime)
             before = compilation_count()
             result = structural_what_if(problem, grid, driver=driver)

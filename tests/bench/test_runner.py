@@ -14,9 +14,11 @@ from repro.bench import (
     format_headline_table,
     format_panel_report,
     grouping_ablation,
+    measure_sweep,
     panel_config,
     run_comparison,
     run_headline_case,
+    run_scaling_study,
     workload_sweep,
 )
 from repro import FifoArbiter, RoundRobinArbiter
@@ -83,6 +85,52 @@ class TestComparison:
         result = run_comparison(config, baseline_sizes=(16,))
         assert [point.size for point in result.old_series.points] == [16]
         assert [point.size for point in result.new_series.points] == [16, 32]
+
+
+class TestSerialTiming:
+    """Every harness point is timed serially, in this process."""
+
+    def test_sweep_honours_the_timeout_cut_off(self):
+        config = SweepConfig(
+            mode="LS", parameter=4, sizes=(16, 24, 32), core_count=4, seed=5,
+            timeout_seconds=0.0,
+        )
+        series = measure_sweep(config, "incremental", label="t")
+        assert [point.timed_out for point in series.points] == [False, True, True]
+        assert series.points[0].makespan > 0
+
+    def test_sweep_runs_every_point_once_per_repetition(self):
+        from repro.core.analyzer import analyze, register_algorithm
+
+        calls = []
+
+        def _counting(problem):
+            calls.append(problem.name)
+            return analyze(problem, "incremental")
+
+        register_algorithm("bench-counting", _counting, overwrite=True)
+        config = SweepConfig(
+            mode="LS", parameter=4, sizes=(16, 24), core_count=4, seed=5, repetitions=3
+        )
+        series = measure_sweep(config, "bench-counting", label="t")
+        assert [point.size for point in series.points] == [16, 24]
+        assert len(calls) == 6 and len(set(calls)) == 2
+        for point, (_, problem) in zip(series.points, workload_sweep(config)):
+            assert point.makespan == analyze(problem, "incremental").makespan
+
+    def test_pooled_timing_options_are_retired(self):
+        import repro.bench
+
+        config = SweepConfig(mode="LS", parameter=4, sizes=(16,), core_count=4, seed=3)
+        assert not hasattr(repro.bench, "measure_algorithm_parallel")
+        for option in ("max_workers", "cache", "runtime"):
+            with pytest.raises(TypeError, match=option):
+                run_comparison(config, **{option: 2})
+            with pytest.raises(TypeError, match=option):
+                measure_sweep(config, "incremental", label="t", **{option: 2})
+        for option in ("max_workers", "runtime"):
+            with pytest.raises(TypeError, match=option):
+                run_scaling_study(**{option: 2})
 
 
 class TestHeadline:

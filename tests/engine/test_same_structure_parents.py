@@ -8,6 +8,9 @@ parent's full content digest, never by the structure half alone.  The same
 holds for two parents with equal content digests whose tasks were inserted
 in different orders: a probe's vectors follow its own parent's task order,
 so those keys include that order too.
+
+Each probe batch runs on a two-worker process pool in one chunk, so one
+worker sees both parents.
 """
 
 import pytest
@@ -52,28 +55,26 @@ def parents():
     return kernels
 
 
-def _run_in_one_chunk(backend, probes):
+def _run_in_one_chunk(probes):
     jobs = [
         AnalysisJob(problem=probe, algorithm="incremental", index=index)
         for index, probe in enumerate(probes)
     ]
-    with EngineRuntime(backend=backend, max_workers=2) as runtime:
+    with EngineRuntime(max_workers=2) as runtime:
         return runtime.run(jobs, chunksize=len(jobs))
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parameter_probes_run_against_their_own_parent(parents, backend):
+def test_parameter_probes_run_against_their_own_parent(parents):
     probes = [
         kernel.with_overlay(kernel.scaled_demand_overlay(1.5), name=f"d15-{k}")
         for k, kernel in enumerate(parents)
     ]
     serial = [analyze(probe, "incremental").makespan for probe in probes]
     assert serial[0] != serial[1]
-    assert [schedule.makespan for schedule in _run_in_one_chunk(backend, probes)] == serial
+    assert [schedule.makespan for schedule in _run_in_one_chunk(probes)] == serial
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_structural_probes_run_against_their_own_parent(parents, backend):
+def test_structural_probes_run_against_their_own_parent(parents):
     last = parents[0].names[parents[0].topo_order[-1]]
     delta = StructureOverlay.remap_task(last, core=0)
     probes = [
@@ -86,14 +87,13 @@ def test_structural_probes_run_against_their_own_parent(parents, backend):
     ]
     serial = [analyze(probe, "incremental") for probe in probes]
     assert serial[0].makespan != serial[1].makespan
-    pooled = _run_in_one_chunk(backend, probes)
+    pooled = _run_in_one_chunk(probes)
     for left, right in zip(pooled, serial):
         assert left.to_dict()["entries"] == right.to_dict()["entries"]
         assert left.stats.warm_start_hits == right.stats.warm_start_hits
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_probes_of_a_reordered_twin_run_against_their_own_parent(backend):
+def test_probes_of_a_reordered_twin_run_against_their_own_parent():
     base = fixed_ls_workload(24, 4, core_count=4, seed=5).to_problem(horizon=400_000)
     document = problem_to_dict(base)
     document["graph"]["tasks"].reverse()
@@ -117,4 +117,4 @@ def test_probes_of_a_reordered_twin_run_against_their_own_parent(backend):
     ]
     serial = [analyze(probe, "incremental").makespan for probe in probes]
     assert serial[0] == serial[1]
-    assert [schedule.makespan for schedule in _run_in_one_chunk(backend, probes)] == serial
+    assert [schedule.makespan for schedule in _run_in_one_chunk(probes)] == serial

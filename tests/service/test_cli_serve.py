@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli.main import build_parser, main
-from repro.service import BACKENDS, AnalysisServer
+from repro.service import AnalysisServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SMOKE = REPO_ROOT / "scripts" / "serve_smoke.py"
@@ -27,9 +27,7 @@ class TestArguments:
         assert args.command == "serve"
         assert args.host == "127.0.0.1"
         assert args.port == 8517
-        assert args.backend == "process"
         assert args.workers is None
-        assert args.recycle_after is None
         assert args.max_pending == 1024
 
     def test_serve_custom_arguments(self):
@@ -37,25 +35,16 @@ class TestArguments:
             [
                 "serve",
                 "--port", "0",
-                "--backend", "thread",
                 "--workers", "4",
                 "--cache-dir", "/tmp/cache",
-                "--recycle-after", "100",
                 "--algorithm", "fixedpoint",
                 "--verbose",
             ]
         )
         assert args.port == 0
-        assert args.backend == "thread"
         assert args.workers == 4
-        assert args.recycle_after == 100
         assert args.algorithm == "fixedpoint"
         assert args.verbose
-
-    def test_serve_rejects_unknown_backend(self, capsys):
-        for backend in ("quantum", "remote"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["serve", "--backend", backend])
 
     @pytest.mark.parametrize(
         "argv, fragment",
@@ -64,8 +53,19 @@ class TestArguments:
             (["batch", "p.json", "--max-in-flight", "4"], "--max-in-flight"),
             (["search", "p.json", "--endpoints", "hostA:8517"], "--endpoints"),
             (["cluster", "--endpoints", "hostA:8517"], "'cluster'"),
+            (["serve", "--backend", "process"], "--backend"),
+            (["serve", "--recycle-after", "1"], "--recycle-after"),
+            (["scaling", "--workers", "2"], "--workers"),
         ],
-        ids=["batch-endpoints", "batch-max-in-flight", "search-endpoints", "cluster"],
+        ids=[
+            "batch-endpoints",
+            "batch-max-in-flight",
+            "search-endpoints",
+            "cluster",
+            "serve-backend",
+            "serve-recycle-after",
+            "scaling-workers",
+        ],
     )
     def test_retired_cluster_options_are_usage_errors(self, argv, fragment, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -73,19 +73,18 @@ class TestArguments:
         assert excinfo.value.code == 2
         assert fragment in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_serve_starts_on_every_offered_backend(self, backend, monkeypatch, capsys):
-        """Every ``--backend`` choice boots; none is offered and then fails."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serve_starts_at_every_worker_count(self, workers, monkeypatch, capsys):
+        """One worker (no pool) and a pool both boot and report their size."""
 
         def interrupt(self, *args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(AnalysisServer, "serve_forever", interrupt)
-        assert main(["serve", "--port", "0", "--backend", backend, "--workers", "2"]) == 0
+        assert main(["serve", "--port", "0", "--workers", str(workers)]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("serving on http://127.0.0.1:")
-        workers = 1 if backend == "inline" else 2
-        assert f"runtime: backend={backend} workers={workers} " in captured.err
+        assert f"runtime: workers={workers} cache=in-memory " in captured.err
 
 
 class TestAnnouncement:
@@ -113,7 +112,7 @@ class TestAnnouncement:
         recorder = Recorder()
         monkeypatch.setattr(AnalysisServer, "serve_forever", interrupt)
         monkeypatch.setattr(sys, "stdout", recorder)
-        assert main(["serve", "--port", "0", "--backend", "inline"]) == 0
+        assert main(["serve", "--port", "0", "--workers", "1"]) == 0
         announcements = [text for text in recorder.writes if "serving on" in text]
         assert len(announcements) == 1
         assert re.fullmatch(r"serving on http://127\.0\.0\.1:\d+\n", announcements[0])
@@ -147,7 +146,7 @@ class TestSmoke:
     def test_serve_smoke_script_passes(self):
         """Boot the real CLI in a subprocess and exercise the whole API."""
         result = subprocess.run(
-            [sys.executable, str(SMOKE), "--backend", "inline"],
+            [sys.executable, str(SMOKE), "--workers", "1"],
             capture_output=True,
             text=True,
             timeout=120,

@@ -44,7 +44,7 @@ def kernel(problem):
 
 @pytest.fixture
 def server():
-    runtime = EngineRuntime(backend="inline")
+    runtime = EngineRuntime(max_workers=1)
     server = AnalysisServer(runtime, port=0).start()
     try:
         yield server
@@ -128,7 +128,7 @@ class TestServerDeltaBatch:
         before = compilation_count()
         ServiceClient(server.url).analyze_many_deltas(_probes(kind, kernel))
         # one server-side base compilation for the whole batch; structural
-        # probes are patched, not compiled (the inline server runs in this
+        # probes are patched, not compiled (the one-worker server runs in this
         # process, so the counter sees it)
         assert compilation_count() - before == 1
 

@@ -32,15 +32,12 @@ def _parse(text: str):
 class TestRenderer:
     STATS = {
         "runtime": {
-            "backend": "process",
             "workers": 4,
             "pools_created": 1,
             "batches": 2,
             "jobs_completed": 7,
             "jobs_failed": 1,
             "jobs_run": 8,
-            "recycle_after": None,
-            "jobs_since_recycle": 8,
             "latency_ewma_seconds": 0.125,
             "cache": {
                 "memory_hits": 3,
@@ -96,7 +93,7 @@ class TestRenderer:
     def test_info_metric_labels(self):
         samples = _parse(render_prometheus_metrics(self.STATS))
         assert (
-            samples['repro_service_info{version="1.0",backend="process",algorithm="incremental"}']
+            samples['repro_service_info{version="1.0",algorithm="incremental"}']
             == 1
         )
 
@@ -174,12 +171,20 @@ class TestRenderer:
         assert text == render_prometheus_metrics(self.STATS)
         assert "hostA" not in text and "endpoint" not in text
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    def test_live_runtime_stats_render_on_every_backend(self, backend):
+    def test_retired_runtime_keys_from_an_older_server_are_not_rendered(self):
+        """The pool-backend and recycling keys no longer reach ``/metrics``."""
+        retired = {"backend": "thread", "recycle_after": 100, "jobs_since_recycle": 8}
+        older = {**self.STATS, "runtime": {**self.STATS["runtime"], **retired}}
+        text = render_prometheus_metrics(older)
+        assert text == render_prometheus_metrics(self.STATS)
+        assert "recycle" not in text and "backend=" not in text
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_live_runtime_stats_render_at_every_worker_count(self, workers):
         problems = [
             fixed_ls_workload(16, 4, core_count=4, seed=seed).to_problem() for seed in range(3)
         ]
-        with EngineRuntime(backend=backend, max_workers=2) as runtime:
+        with EngineRuntime(max_workers=workers) as runtime:
             cold = runtime.stats().to_dict()
             analyze_many(problems, runtime=runtime)
             warm = runtime.stats().to_dict()
@@ -187,15 +192,15 @@ class TestRenderer:
             text = render_prometheus_metrics({"runtime": record})
             samples = _parse(text)
             assert samples["repro_runtime_jobs_completed_total"] == jobs
-            assert samples["repro_runtime_workers"] == (1 if backend == "inline" else 2)
-            assert f'backend="{backend}"' in text
+            assert samples["repro_runtime_workers"] == workers
+            assert "{backend=" not in text and ",backend=" not in text
             assert "None" not in text and "NaN" not in text
             assert "endpoint" not in text
 
 
 @pytest.fixture
 def service():
-    runtime = EngineRuntime(backend="inline")
+    runtime = EngineRuntime(max_workers=1)
     server = AnalysisServer(runtime, port=0).start()
     yield server, ServiceClient(server.url, timeout=30)
     server.close()

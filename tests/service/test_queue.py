@@ -1,9 +1,9 @@
 """Tests for the :class:`repro.service.JobQueue`.
 
 Covers the four queue guarantees: futures resolve with correct (relabeled)
-schedules, higher priorities drain first once the queue backs up, identical
-in-flight content coalesces onto one job, and the ``max_pending`` bound
-exerts real backpressure.
+schedules, a backed-up queue drains in submission order, identical in-flight
+content coalesces onto one job, and the ``max_pending`` bound exerts real
+backpressure.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _null_schedule(problem, algorithm: str):
 
 @pytest.fixture
 def runtime():
-    with EngineRuntime(backend="inline") as rt:
+    with EngineRuntime(max_workers=1) as rt:
         yield rt
 
 
@@ -119,8 +119,8 @@ class TestFutures:
         queue.close()
 
 
-class TestPriorities:
-    def test_higher_priority_drains_first(self, runtime):
+class TestDrainOrder:
+    def test_backed_up_jobs_run_in_submission_order(self, runtime):
         recorded = []
 
         def _recorder(problem):
@@ -128,18 +128,27 @@ class TestPriorities:
             return _null_schedule(problem, "svc-queue-recorder")
 
         register_algorithm("svc-queue-recorder", _recorder, overwrite=True)
-        gate = _Gate("svc-queue-gate-prio")
+        gate = _Gate("svc-queue-gate-order")
         queue = JobQueue(runtime)
         blocker = queue.submit(_problem(20), algorithm=gate.name)
         assert gate.entered.wait(timeout=30)
-        low = queue.submit(_problem(21, name="low"), algorithm="svc-queue-recorder", priority=0)
-        high = queue.submit(_problem(22, name="high"), algorithm="svc-queue-recorder", priority=5)
+        names = ["third", "first", "second"]
+        futures = [
+            queue.submit(_problem(21 + k, name=name), algorithm="svc-queue-recorder")
+            for k, name in enumerate(names)
+        ]
         gate.release.set()
-        low.result(timeout=30)
-        high.result(timeout=30)
+        assert [future.result(timeout=30).problem_name for future in futures] == names
         blocker.result(timeout=30)
-        # the backed-up burst was drained priority-first
-        assert recorded.index("high") < recorded.index("low")
+        assert recorded == names  # one drain, run first-in first-out
+        queue.close()
+
+    def test_priority_is_not_accepted(self, runtime):
+        queue = JobQueue(runtime)
+        with pytest.raises(TypeError, match="priority"):
+            queue.submit(_problem(25), priority=1)
+        with pytest.raises(TypeError, match="priority"):
+            queue.map([_problem(25)], priority=1)
         queue.close()
 
 

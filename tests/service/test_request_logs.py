@@ -33,7 +33,7 @@ def _get(url: str) -> int:
 
 class TestQuietByDefault:
     def test_no_stderr_output_per_request(self, capfd):
-        runtime = EngineRuntime(backend="inline")
+        runtime = EngineRuntime(max_workers=1)
         with AnalysisServer(runtime).start() as server:
             assert _get(f"{server.url}/healthz") == 200
             assert _get(f"{server.url}/stats") == 200
@@ -43,7 +43,7 @@ class TestQuietByDefault:
         assert captured.out == ""
 
     def test_request_log_disabled_without_sinks(self):
-        runtime = EngineRuntime(backend="inline")
+        runtime = EngineRuntime(max_workers=1)
         with AnalysisServer(runtime).start() as server:
             assert not server._request_log.enabled
             assert not server._span_log.enabled
@@ -54,7 +54,7 @@ class TestVerboseStderrJsonl:
     def test_one_json_line_per_request(self, monkeypatch):
         stderr = io.StringIO()
         monkeypatch.setattr(sys, "stderr", stderr)
-        runtime = EngineRuntime(backend="inline")
+        runtime = EngineRuntime(max_workers=1)
         # quiet=False must bind the *patched* stderr, so construct inside
         with AnalysisServer(runtime, quiet=False).start() as server:
             assert _get(f"{server.url}/healthz") == 200
@@ -73,7 +73,7 @@ class TestVerboseStderrJsonl:
 
 class TestTraceDirPersistence:
     def test_request_and_span_files_written(self, tmp_path):
-        runtime = EngineRuntime(backend="inline")
+        runtime = EngineRuntime(max_workers=1)
         server = AnalysisServer(runtime, trace_dir=tmp_path / "traces").start()
         try:
             client = ServiceClient(server.url, timeout=30)
@@ -98,7 +98,7 @@ class TestTraceDirPersistence:
         assert trace_ids == {r["trace_id"] for r in records}
 
     def test_trace_returned_only_for_traceparent_requests(self, tmp_path):
-        runtime = EngineRuntime(backend="inline")
+        runtime = EngineRuntime(max_workers=1)
         server = AnalysisServer(runtime, trace_dir=tmp_path / "traces").start()
         try:
             plain = json.loads(
@@ -119,7 +119,7 @@ class TestTraceDirPersistence:
             runtime.close()
 
     def test_traceparent_without_trace_dir_still_stitches(self):
-        runtime = EngineRuntime(backend="inline")
+        runtime = EngineRuntime(max_workers=1)
         server = AnalysisServer(runtime).start()
         try:
             header = obs.format_traceparent("ef" * 16, None)

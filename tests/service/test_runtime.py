@@ -30,7 +30,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.generators import fixed_ls_workload
-from repro.service import BACKENDS, EngineRuntime
+from repro.service import EngineRuntime
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -68,41 +68,33 @@ class TestHome:
         assert result.stdout.splitlines() == ["[]", "True"]
 
 
-class TestBackends:
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    def test_results_bit_identical_to_serial(self, backend):
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_bit_identical_to_serial(self, workers):
         problems = _sweep(4)
         serial = analyze_many(problems, max_workers=1)
-        with EngineRuntime(backend=backend, max_workers=2) as runtime:
+        with EngineRuntime(max_workers=workers) as runtime:
             warm = analyze_many(problems, runtime=runtime)
         assert _entries(warm) == _entries(serial)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ServiceError, match="backend"):
-            EngineRuntime(backend="quantum")
-
-    def test_invalid_parameters_rejected(self):
+    def test_invalid_worker_count_rejected(self):
         with pytest.raises(ServiceError):
             EngineRuntime(max_workers=0)
-        with pytest.raises(ServiceError):
-            EngineRuntime(recycle_after=0)
 
-    def test_inline_backend_never_builds_a_pool(self):
-        with EngineRuntime(backend="inline") as runtime:
-            analyze_many(_sweep(3), runtime=runtime)
-            analyze_many(_sweep(3), runtime=runtime)
-        assert runtime.pools_created == 0
-
-    def test_single_worker_process_backend_runs_serially(self):
-        with EngineRuntime(backend="process", max_workers=1) as runtime:
-            schedules = analyze_many(_sweep(2), runtime=runtime)
-        assert len(schedules) == 2
+    def test_single_worker_never_builds_a_pool(self):
+        with EngineRuntime(max_workers=1) as runtime:
+            schedules = analyze_many(_sweep(3), runtime=runtime)
+            analyze_many(_sweep(3, tasks=20), runtime=runtime)
+        assert len(schedules) == 3
         assert runtime.pools_created == 0  # one worker: serial, no pool
 
-    def test_remote_backend_is_retired(self):
-        assert BACKENDS == ("process", "thread", "inline")
-        with pytest.raises(ServiceError, match="choose from process, thread, inline"):
-            EngineRuntime(backend="remote")
+    def test_backend_choice_is_retired(self):
+        """A process pool above one worker, none at one: nothing to choose."""
+        import repro.engine
+        import repro.service
+
+        assert not hasattr(repro.engine, "BACKENDS")
+        assert not hasattr(repro.service, "BACKENDS")
 
     @pytest.mark.parametrize(
         "parameter",
@@ -110,31 +102,30 @@ class TestBackends:
     )
     def test_retired_cluster_parameters_are_not_accepted(self, parameter):
         with pytest.raises(TypeError, match=parameter):
-            EngineRuntime(backend="inline", **{parameter: 1})
-
-    @pytest.mark.parametrize("parameter", ["chunksize", "latency_smoothing"])
-    def test_retired_tuning_parameters_are_not_accepted(self, parameter):
-        with pytest.raises(TypeError, match=parameter):
-            EngineRuntime(backend="inline", **{parameter: 1})
+            EngineRuntime(max_workers=1, **{parameter: 1})
 
     @pytest.mark.parametrize(
-        "backend, max_workers, expected",
-        [("inline", 4, 1), ("thread", 3, 3), ("process", 2, 2)],
+        "parameter", ["chunksize", "latency_smoothing", "backend", "recycle_after"]
     )
-    def test_worker_count(self, backend, max_workers, expected):
-        with EngineRuntime(backend=backend, max_workers=max_workers) as runtime:
-            assert runtime.workers == expected
-            assert runtime.stats().workers == expected
+    def test_retired_tuning_parameters_are_not_accepted(self, parameter):
+        with pytest.raises(TypeError, match=parameter):
+            EngineRuntime(max_workers=1, **{parameter: 1})
+
+    @pytest.mark.parametrize("max_workers", [1, 3])
+    def test_worker_count(self, max_workers):
+        with EngineRuntime(max_workers=max_workers) as runtime:
+            assert runtime.workers == max_workers
+            assert runtime.stats().workers == max_workers
 
     def test_default_worker_count_is_one_per_cpu(self):
-        with EngineRuntime(backend="thread") as runtime:
+        with EngineRuntime() as runtime:
             assert runtime.workers == default_worker_count()
 
 
 class TestWarmPoolReuse:
     def test_many_batches_one_pool_construction(self):
         problems = _sweep(4)
-        with EngineRuntime(backend="thread", max_workers=2) as runtime:
+        with EngineRuntime(max_workers=2) as runtime:
             for start in range(3):
                 # distinct content per batch so the cache cannot short-circuit
                 batch = [
@@ -153,7 +144,7 @@ class TestWarmPoolReuse:
         problem = problem.with_horizon(horizon)
         serial = memory_sensitivity(problem, max_factor=8.0, tolerance=0.05)
         generations = []
-        with EngineRuntime(backend="process", max_workers=2) as runtime:
+        with EngineRuntime(max_workers=2) as runtime:
             driver = SearchDriver(runtime=runtime, progress=generations.append)
             warm = memory_sensitivity(problem, max_factor=8.0, tolerance=0.05, driver=driver)
             assert runtime.pools_created == 1  # the test hook the criteria name
@@ -162,60 +153,30 @@ class TestWarmPoolReuse:
 
     def test_runtime_shared_between_batches_and_searches(self):
         problems = _sweep(3)
-        with EngineRuntime(backend="thread", max_workers=2) as runtime:
+        with EngineRuntime(max_workers=2) as runtime:
             analyze_many(problems, runtime=runtime)
             driver = SearchDriver(runtime=runtime)
             horizons = [minimal_horizon(problem, driver=driver) for problem in problems]
             assert runtime.pools_created == 1
         assert horizons == [minimal_horizon(problem) for problem in problems]
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    def test_search_on_every_backend_matches_serial(self, backend):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_at_every_worker_count_matches_serial(self, workers):
         problem = _sweep(1)[0]
         problem = problem.with_horizon(int(minimal_horizon(problem) * 1.2))
         serial = memory_sensitivity(
             problem, max_factor=8.0, tolerance=0.25, driver=SearchDriver(batch=False)
         )
-        with EngineRuntime(backend=backend, max_workers=2) as runtime:
+        with EngineRuntime(max_workers=workers) as runtime:
             warm = memory_sensitivity(
                 problem, max_factor=8.0, tolerance=0.25, driver=SearchDriver(runtime=runtime)
             )
         assert warm == serial  # breaking factor, makespan AND probe trace
 
 
-class TestRecycling:
-    def test_pool_recycled_after_job_budget(self):
-        with EngineRuntime(backend="thread", max_workers=2, recycle_after=3) as runtime:
-            analyze_many(_sweep(2), runtime=runtime)  # 2 jobs: under budget
-            assert runtime.pools_created == 1
-            analyze_many(
-                [fixed_ls_workload(16, 4, core_count=4, seed=50 + i).to_problem() for i in range(2)],
-                runtime=runtime,
-            )  # 4 jobs total ran on pool 1: recycling is now due
-            assert runtime.pools_created == 1  # ... but only at the NEXT boundary
-            analyze_many(
-                [fixed_ls_workload(16, 4, core_count=4, seed=60 + i).to_problem() for i in range(2)],
-                runtime=runtime,
-            )
-            assert runtime.pools_created == 2  # rebuilt once, at the batch boundary
-            assert runtime.stats().jobs_since_recycle == 2
-
-    def test_no_recycling_by_default(self):
-        with EngineRuntime(backend="thread", max_workers=2) as runtime:
-            for start in range(4):
-                analyze_many(
-                    [
-                        fixed_ls_workload(16, 4, core_count=4, seed=200 + start * 10 + i).to_problem()
-                        for i in range(2)
-                    ],
-                    runtime=runtime,
-                )
-            assert runtime.pools_created == 1
-
-
 class TestLifecycle:
     def test_close_is_idempotent_and_rejects_new_work(self):
-        runtime = EngineRuntime(backend="inline")
+        runtime = EngineRuntime(max_workers=1)
         analyze_many(_sweep(1), runtime=runtime)
         runtime.close()
         runtime.close()
@@ -223,9 +184,8 @@ class TestLifecycle:
         with pytest.raises(ServiceError, match="closed"):
             runtime.run([AnalysisJob(problem=_sweep(1)[0])])
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_closed_pooled_runtime_rejects_new_work(self, backend):
-        runtime = EngineRuntime(backend=backend, max_workers=2)
+    def test_closed_pooled_runtime_rejects_new_work(self):
+        runtime = EngineRuntime(max_workers=2)
         analyze_many(_sweep(2), runtime=runtime)
         assert runtime.pools_created == 1
         runtime.close()
@@ -233,29 +193,29 @@ class TestLifecycle:
             runtime.run(_jobs(_sweep(1)))
 
     def test_context_manager_closes(self):
-        with EngineRuntime(backend="thread", max_workers=2) as runtime:
+        with EngineRuntime(max_workers=2) as runtime:
             analyze_many(_sweep(2), runtime=runtime)
         assert runtime.closed
 
     def test_empty_batch_is_a_no_op(self):
-        with EngineRuntime(backend="thread", max_workers=2) as runtime:
+        with EngineRuntime(max_workers=2) as runtime:
             assert runtime.run([]) == []
             assert runtime.pools_created == 0
 
     def test_invalid_per_call_chunksize_rejected(self):
         """The warm path validates chunksize exactly like the transient one."""
-        with EngineRuntime(backend="thread", max_workers=2) as runtime:
+        with EngineRuntime(max_workers=2) as runtime:
             with pytest.raises(EngineError, match="chunksize"):
                 analyze_many(_sweep(2), runtime=runtime, chunksize=0)
 
 
 class TestStats:
     def test_stats_snapshot_counts_jobs_and_batches(self):
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             analyze_many(_sweep(3), runtime=runtime)
             analyze_many(_sweep(3), runtime=runtime)  # warm cache: zero new jobs
             stats = runtime.stats()
-        assert stats.backend == "inline"
+        assert stats.workers == 1
         assert stats.batches == 1  # the second call never reached the runtime
         assert stats.jobs_completed == 3
         assert stats.jobs_failed == 0
@@ -266,47 +226,46 @@ class TestStats:
         assert stats.latency_ewma_seconds >= 0.0
 
     def test_stats_to_dict_round_trip(self):
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             record = runtime.stats().to_dict()
-        assert record["backend"] == "inline"
+        assert record["workers"] == 1
         assert record["pools_created"] == 0
         assert record["jobs_run"] == 0
         assert isinstance(record["cache"], dict)
 
-    #: the ``runtime`` section of ``GET /stats``, whatever the backend
+    #: the ``runtime`` section of ``GET /stats``, whatever the worker count
     STATS_KEYS = {
         "analysis_backend",
-        "backend",
         "batches",
         "cache",
         "generation_passes",
         "jobs_completed",
         "jobs_failed",
         "jobs_run",
-        "jobs_since_recycle",
         "kernel_compilations",
         "latency_ewma_seconds",
         "latency_histogram",
         "pools_created",
-        "recycle_after",
         "vector_sweeps",
         "warm_start_hits",
         "workers",
     }
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    def test_stats_keys_are_the_same_on_every_backend(self, backend):
-        with EngineRuntime(backend=backend, max_workers=2) as runtime:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stats_keys_are_the_same_at_every_worker_count(self, workers):
+        with EngineRuntime(max_workers=workers) as runtime:
             assert set(runtime.stats().to_dict()) == self.STATS_KEYS
             runtime.run(_jobs(_sweep(2)))
             assert set(runtime.stats().to_dict()) == self.STATS_KEYS
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    def test_telemetry_counts_jobs_on_every_backend(self, backend):
-        with EngineRuntime(backend=backend, max_workers=2) as runtime:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_telemetry_counts_jobs_at_every_worker_count(self, workers):
+        with EngineRuntime(max_workers=workers) as runtime:
             runtime.run(_jobs(_sweep(4)))
             stats = runtime.stats()
-        assert stats.backend == backend
+            assert runtime.latency_ewma_seconds == stats.latency_ewma_seconds
+        assert stats.workers == workers
+        assert stats.pools_created == (0 if workers == 1 else 1)
         assert stats.batches == 1
         assert stats.jobs_completed == 4
         assert stats.jobs_failed == 0
@@ -318,7 +277,7 @@ class TestStats:
             raise ValueError("boom")
 
         register_algorithm("svc-runtime-fail", _failing, overwrite=True)
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             with pytest.raises(BatchExecutionError):
                 analyze_many(_sweep(2), "svc-runtime-fail", runtime=runtime)
             stats = runtime.stats()
@@ -328,18 +287,18 @@ class TestStats:
 
 class TestBatchAnalyzerIntegration:
     def test_runtime_and_max_workers_conflict(self):
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             with pytest.raises(EngineError, match="max_workers"):
                 BatchAnalyzer(max_workers=2, runtime=runtime)
 
     def test_analyzer_defaults_to_runtime_cache(self):
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             analyzer = BatchAnalyzer(runtime=runtime)
             assert analyzer.cache is runtime.cache
 
     def test_explicit_cache_wins_over_runtime_cache(self):
         own = ResultCache()
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             analyzer = BatchAnalyzer(runtime=runtime, cache=own)
             assert analyzer.cache is own
             assert analyzer.cache is not runtime.cache
@@ -362,7 +321,7 @@ class TestBatchAnalyzerIntegration:
         register_algorithm("svc-fragile", _fragile, overwrite=True)
         problems = _sweep(3)
         problems[1] = problems[1].with_horizon(10_000_000)
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             with pytest.raises(BatchExecutionError) as info:
                 analyze_many(problems, "svc-fragile", runtime=runtime)
         assert sorted(info.value.failures) == [1]
@@ -393,7 +352,7 @@ class TestSpawnStartMethod:
         fresh_search = memory_sensitivity(sensitivity_problem, max_factor=8.0, tolerance=0.1)
 
         monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        with EngineRuntime(backend="process", max_workers=2) as runtime:
+        with EngineRuntime(max_workers=2) as runtime:
             warm_batches = [
                 analyze_many([problem], runtime=runtime, cache=ResultCache())
                 for problem in problems

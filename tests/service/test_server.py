@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import statistics
 import time
 import urllib.error
@@ -23,6 +24,7 @@ from repro.analysis import memory_sensitivity, minimal_horizon
 from repro.core.analyzer import register_algorithm
 from repro.errors import BatchExecutionError, ServiceError
 from repro.generators import fixed_ls_workload
+from repro.io import problem_to_dict
 from repro.service import AnalysisServer, EngineRuntime, ServiceClient
 
 
@@ -34,8 +36,8 @@ def _sweep(count: int):
 
 @pytest.fixture
 def service(tmp_path):
-    """A running server (inline runtime, ephemeral port) and its client."""
-    runtime = EngineRuntime(backend="inline", cache=tmp_path / "cache")
+    """A running server (one-worker runtime, ephemeral port) and its client."""
+    runtime = EngineRuntime(max_workers=1, cache=tmp_path / "cache")
     server = AnalysisServer(runtime, port=0).start()
     client = ServiceClient(server.url, timeout=30)
     yield server, client, runtime
@@ -97,8 +99,52 @@ class TestEndpoints:
         assert stats["queue"]["submitted"] == 2
         assert stats["queue"]["completed"] == 2
         assert stats["runtime"]["jobs_completed"] == 2
-        assert stats["runtime"]["backend"] == "inline"
+        assert stats["runtime"]["workers"] == 1
         assert stats["runtime"]["cache"]["misses"] == 2
+
+    @pytest.mark.parametrize("priority", [5, "high"])
+    def test_a_priority_key_is_ignored_like_any_unknown_key(self, service, priority):
+        """An older client still sends ``priority``; the queue is FIFO."""
+        _, client, _ = service
+        problem = _sweep(1)[0]
+        document = {"problem": problem_to_dict(problem)}
+        plain = client._request("POST", "/analyze", document)
+        ranked = client._request("POST", "/analyze", {**document, "priority": priority})
+        assert ranked["schedule"]["entries"] == plain["schedule"]["entries"]
+        assert ranked["makespan"] == plain["makespan"] == analyze(problem).makespan
+        batch = client._request(
+            "POST", "/batch", {"problems": [document["problem"]], "priority": priority}
+        )
+        assert batch["schedules"][0]["entries"] == plain["schedule"]["entries"]
+
+    def test_priority_parameter_is_retired_from_the_client(self, service):
+        from repro.core.kernel import compile_problem
+
+        _, client, _ = service
+        problem = _sweep(1)[0]
+        kernel = compile_problem(problem)
+        probe = kernel.with_overlay(kernel.scaled_demand_overlay(1.5))
+        calls = [
+            lambda: client.analyze(problem, priority=1),
+            lambda: client.analyze_many([problem], priority=1),
+            lambda: client.analyze_many_deltas([probe], priority=1),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="priority"):
+                call()
+
+    def test_search_at_float_resolution_terminates(self, service):
+        """A tolerance below float resolution stops where the midpoint does."""
+        _, client, _ = service
+        problem = fixed_ls_workload(16, 4, core_count=4, seed=1).to_problem()
+        horizon = int(minimal_horizon(problem) * 1.5)
+        document = client.search(
+            problem, kind="memory", horizon=horizon, max_factor=16.0, tolerance=1e-300
+        )
+        local = memory_sensitivity(
+            problem.with_horizon(horizon), max_factor=16.0, tolerance=1e-300
+        )
+        assert document["probes"] == [[factor, ok] for factor, ok in local.probes]
 
 
 class TestWarmBatchTransactionBudget:
@@ -112,7 +158,7 @@ class TestWarmBatchTransactionBudget:
         # .sqlite suffix pins the SQLite backend (the O(1) budget is its
         # contract — the JSON fallback touches one file per job)
         cache = ResultCache(path=tmp_path / "cache.sqlite", memory_limit=0)
-        runtime = EngineRuntime(backend="inline", cache=cache)
+        runtime = EngineRuntime(max_workers=1, cache=cache)
         server = AnalysisServer(runtime, port=0).start()
         client = ServiceClient(server.url, timeout=30)
         try:
@@ -146,7 +192,7 @@ class TestByteForByteAcceptance:
         problems = _sweep(3)
         cache_dir = tmp_path / "shared-cache"
         local = analyze_many(problems, max_workers=1, cache=cache_dir)
-        runtime = EngineRuntime(backend="inline", cache=cache_dir)
+        runtime = EngineRuntime(max_workers=1, cache=cache_dir)
         server = AnalysisServer(runtime, port=0).start()
         try:
             client = ServiceClient(server.url, timeout=30)
@@ -192,6 +238,60 @@ class TestErrors:
         _, client, _ = service
         with pytest.raises(ServiceError, match="horizon"):
             client.search(_sweep(1)[0], kind="memory")
+
+    def test_infinite_max_factor_422(self, service):
+        _, client, _ = service
+        problem = _sweep(1)[0]
+        # json.dumps writes float("inf") as the literal Infinity, which the
+        # server's json.loads accepts
+        with pytest.raises(ServiceError, match="max_factor") as info:
+            client.search(problem, kind="memory", horizon=10**6, max_factor=float("inf"))
+        assert info.value.status == 422
+
+    @pytest.mark.parametrize("parameter", ["max_factor", "tolerance"])
+    def test_nan_search_parameter_422(self, service, parameter):
+        """A NaN passes no ordered comparison, so it must be refused by name."""
+        _, client, _ = service
+        with pytest.raises(ServiceError, match=parameter) as info:
+            client.search(
+                _sweep(1)[0], kind="memory", horizon=10**6, **{parameter: float("nan")}
+            )
+        assert info.value.status == 422
+
+    @staticmethod
+    def _post_with_content_length(server, value: bytes) -> bytes:
+        """Send a bodiless ``POST /analyze`` with a raw header; read to EOF."""
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /analyze HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\nContent-Length: "
+                + value
+                + b"\r\n\r\n"
+            )
+            # the body cannot be framed, so the server closes the connection
+            # after its reply: a reply left open times the read out
+            chunks = []
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    def test_negative_content_length_400(self, service):
+        """``rfile.read(-1)`` would hold the handler until the client hangs up."""
+        server, _, _ = service
+        reply = self._post_with_content_length(server, b"-1")
+        assert reply.startswith(b"HTTP/1.1 400"), reply
+        assert b"invalid Content-Length -1" in reply
+
+    def test_non_numeric_content_length_400_and_closes(self, service):
+        """Any body it carried would be read as the connection's next request."""
+        server, client, _ = service
+        reply = self._post_with_content_length(server, b"ten")
+        assert reply.startswith(b"HTTP/1.1 400"), reply
+        assert b"invalid Content-Length ten" in reply
+        assert client.healthz()["status"] == "ok"
 
     def test_unknown_search_kind_400(self, service):
         _, client, _ = service
@@ -310,7 +410,7 @@ class TestServerLifecycle:
         assert time.perf_counter() - started < 0.4
 
     def test_shared_runtime_not_closed_by_server(self):
-        with EngineRuntime(backend="inline") as runtime:
+        with EngineRuntime(max_workers=1) as runtime:
             server = AnalysisServer(runtime, port=0)
             server.close()
             assert not runtime.closed

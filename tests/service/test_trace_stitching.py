@@ -21,7 +21,7 @@ from repro.service import AnalysisServer, EngineRuntime, ServiceClient
 
 @pytest.fixture
 def fleet():
-    servers = [AnalysisServer(EngineRuntime(backend="inline")) for _ in range(2)]
+    servers = [AnalysisServer(EngineRuntime(max_workers=1)) for _ in range(2)]
     for server in servers:
         server.start()
     yield servers
