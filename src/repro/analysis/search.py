@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-#: ceiling on latency-driven lookahead deepening (2**8 - 1 probes/generation)
+#: ceiling on the lookahead, adaptive or pinned (2**8 - 1 probes/generation)
 MAX_SPECULATION = 8
 
 
@@ -171,8 +171,9 @@ class SearchDriver:
     by the runtime's observed per-job latency EWMA at every
     :meth:`begin_search`; pass an integer to pin it.
 
-    :raises AnalysisError: on a negative ``speculation``, or when ``runtime``
-        is combined with ``batch=False``.
+    :raises AnalysisError: on a ``speculation`` outside ``0..MAX_SPECULATION``
+        (each level doubles a generation's probes), or when ``runtime`` is
+        combined with ``batch=False``.
     """
 
     def __init__(
@@ -186,8 +187,8 @@ class SearchDriver:
         progress: Optional[SearchProgressCallback] = None,
         runtime: Optional[EngineRuntime] = None,
     ) -> None:
-        if speculation is not None and speculation < 0:
-            raise AnalysisError(f"speculation must be >= 0, got {speculation}")
+        if speculation is not None and not 0 <= speculation <= MAX_SPECULATION:
+            raise AnalysisError(f"speculation must be 0..{MAX_SPECULATION}, got {speculation}")
         self.algorithm = algorithm
         self.batch = bool(batch)
         if runtime is not None and not self.batch:

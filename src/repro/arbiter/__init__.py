@@ -1,6 +1,6 @@
 """Bus arbitration policies (IBUS functions) for the interference analysis."""
 
-from .base import BusArbiter, check_request
+from .base import BusArbiter, PerCoreSumArbiter, check_request
 from .fifo import FifoArbiter
 from .fixed_priority import FixedPriorityArbiter
 from .multilevel import MultiLevelRoundRobinArbiter
@@ -11,6 +11,7 @@ from .tdm import TdmArbiter, tdm_isolation_penalty
 
 __all__ = [
     "BusArbiter",
+    "PerCoreSumArbiter",
     "check_request",
     "NullArbiter",
     "RoundRobinArbiter",

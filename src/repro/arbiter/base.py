@@ -10,9 +10,9 @@ to answer the question (Algorithm 1, step 5 of the paper):
 
 Competing demands are given **per core** (not per task).  The grouping of
 alive tasks into one virtual initiator per core is the "conservative
-hypothesis" of Section II-C of the paper; it is performed by
-:mod:`repro.core.interference`, not by the arbiters, so each arbiter only has
-to reason about core-level contention.
+hypothesis" of Section II-C of the paper; the analyses perform it
+(:mod:`repro.core.interference`, :mod:`repro.core.incremental`), not the
+arbiters, so each arbiter only has to reason about core-level contention.
 
 Soundness contract
 ------------------
@@ -29,18 +29,21 @@ algorithm (and checked by the property-based tests in
 
 Interference may be *non-additive*: the value for a set of competitors is not
 required to equal the sum of pairwise values (Section II-C).  The analysis
-therefore always re-evaluates the arbiter on the full competitor set.
+therefore re-evaluates a generic arbiter on the full competitor set; only a
+:class:`PerCoreSumArbiter`, whose bound is one term per competitor core, is
+updated term by term.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ..errors import ArbiterError
 from ..platform import MemoryBank
 
-__all__ = ["BusArbiter", "check_request"]
+__all__ = ["BusArbiter", "PerCoreSumArbiter", "check_request"]
 
 
 def check_request(dest_core: int, dest_accesses: int, competitors: Mapping[int, int]) -> None:
@@ -52,8 +55,9 @@ def check_request(dest_core: int, dest_accesses: int, competitors: Mapping[int, 
             f"core {dest_core} appears in its own competitor set; "
             "tasks on the destination core never run concurrently with it"
         )
-    for core, demand in competitors.items():
+    for demand in competitors.values():
         if demand < 0:
+            core = next(core for core, value in competitors.items() if value < 0)
             raise ArbiterError(f"competitor core {core} has negative demand {demand}")
 
 
@@ -100,3 +104,61 @@ class BusArbiter(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+class PerCoreSumArbiter(BusArbiter):
+    """A bound with one term per competitor core.
+
+    Each of the ``d`` destination accesses waits for at most ``w_k`` of the
+    ``c_k`` accesses competitor core ``k`` makes on the bank::
+
+        interference = latency * sum_k min(d * w_k, c_k)
+
+    A subclass states ``w_k`` once, as data: ``weights`` per core,
+    ``default_weight`` for the others; ``None`` means no cap (the whole
+    backlog).  Core ``k``'s term depends on ``c_k`` alone, so when ``c_k``
+    grows from ``old`` to ``new`` the bound grows by ``latency * (min(d * w_k,
+    new) - min(d * w_k, old))``: the incremental analysis charges that in
+    O(1) from the same data, without calling :meth:`interference`.
+    """
+
+    #: ``w_k`` of the cores with a weight of their own
+    weights: Mapping[int, int] = MappingProxyType({})
+    #: ``w_k`` of every other core (``None``: no cap)
+    default_weight: Optional[int] = 1
+
+    def weight_of(self, core: int) -> Optional[int]:
+        """``w_k``: accesses of ``core`` one destination access may wait for.
+
+        Read from ``weights`` and ``default_weight``, which define it.
+        """
+        return self.weights.get(core, self.default_weight)
+
+    def interference(
+        self,
+        dest_core: int,
+        dest_accesses: int,
+        competitors: Mapping[int, int],
+        bank: MemoryBank,
+    ) -> int:
+        check_request(dest_core, dest_accesses, competitors)
+        if dest_accesses == 0:
+            return 0
+        weights, default = self.weights, self.default_weight
+        if weights:
+            delayed = 0
+            for core, demand in competitors.items():
+                weight = weights.get(core, default)
+                if weight is not None and demand > dest_accesses * weight:
+                    demand = dest_accesses * weight
+                delayed += demand
+        elif default is None:  # no cap on any core: the whole backlog
+            delayed = sum(competitors.values())
+        elif default:  # one cap for every core
+            cap = dest_accesses * default
+            delayed = 0
+            for demand in competitors.values():
+                delayed += demand if demand < cap else cap
+        else:  # w_k = 0 for every core
+            return 0
+        return delayed * bank.access_latency

@@ -16,31 +16,20 @@ which the ablation benchmark A2 illustrates.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from ..platform import MemoryBank
-from .base import BusArbiter, check_request
+from .base import PerCoreSumArbiter
 
 __all__ = ["FifoArbiter"]
 
 
-class FifoArbiter(BusArbiter):
-    """First-come first-served bus: the destination waits behind every queued access."""
+class FifoArbiter(PerCoreSumArbiter):
+    """First-come first-served bus: the destination waits behind every queued access.
+
+    No competitor core is capped (``w_k = None``), so the per-core term is
+    ``c_k`` itself.
+    """
 
     name = "fifo"
-
-    def interference(
-        self,
-        dest_core: int,
-        dest_accesses: int,
-        competitors: Mapping[int, int],
-        bank: MemoryBank,
-    ) -> int:
-        check_request(dest_core, dest_accesses, competitors)
-        if dest_accesses == 0:
-            return 0
-        backlog = sum(demand for demand in competitors.values() if demand > 0)
-        return backlog * bank.access_latency
+    default_weight = None
 
     def describe(self) -> str:
         return "worst-case FIFO: the destination waits behind every access of every competitor"

@@ -9,28 +9,19 @@ of the makespan is due to interference (see
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from ..platform import MemoryBank
-from .base import BusArbiter, check_request
+from .base import PerCoreSumArbiter
 
 __all__ = ["NullArbiter"]
 
 
-class NullArbiter(BusArbiter):
-    """Always returns zero interference (isolation / interference-ignored analysis)."""
+class NullArbiter(PerCoreSumArbiter):
+    """Always returns zero interference (isolation / interference-ignored analysis).
+
+    Every competitor core has ``w_k = 0``, so every per-core term is 0.
+    """
 
     name = "null"
-
-    def interference(
-        self,
-        dest_core: int,
-        dest_accesses: int,
-        competitors: Mapping[int, int],
-        bank: MemoryBank,
-    ) -> int:
-        check_request(dest_core, dest_accesses, competitors)
-        return 0
+    default_weight = 0
 
     def describe(self) -> str:
         return "null arbiter: interference is ignored (isolation reference, unsound on real hardware)"

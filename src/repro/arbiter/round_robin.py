@@ -25,42 +25,31 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from ..errors import ArbiterError
-from ..platform import MemoryBank
-from .base import BusArbiter, check_request
+from .base import PerCoreSumArbiter
 
 __all__ = ["RoundRobinArbiter", "WeightedRoundRobinArbiter"]
 
 
-class RoundRobinArbiter(BusArbiter):
-    """Fair one-access-per-grant round-robin (the MPPA-256 SMEM bus model of [6])."""
+class RoundRobinArbiter(PerCoreSumArbiter):
+    """Fair one-access-per-grant round-robin (the MPPA-256 SMEM bus model of [6]).
+
+    Every competitor core has ``w_k = 1``: each destination access waits for
+    at most one access of every other requesting core.
+    """
 
     name = "round-robin"
-
-    def interference(
-        self,
-        dest_core: int,
-        dest_accesses: int,
-        competitors: Mapping[int, int],
-        bank: MemoryBank,
-    ) -> int:
-        check_request(dest_core, dest_accesses, competitors)
-        if dest_accesses == 0:
-            return 0
-        delayed = 0
-        for demand in competitors.values():
-            if demand > 0:
-                delayed += min(dest_accesses, demand)
-        return delayed * bank.access_latency
+    default_weight = 1
 
     def describe(self) -> str:
         return "round-robin: each access waits for at most one access of every other requesting core"
 
 
-class WeightedRoundRobinArbiter(BusArbiter):
+class WeightedRoundRobinArbiter(PerCoreSumArbiter):
     """Weighted round-robin: core ``k`` gets up to ``weights[k]`` grants per cycle.
 
-    ``default_weight`` applies to cores absent from ``weights``.  With all
-    weights equal to 1 this degenerates to :class:`RoundRobinArbiter`.
+    ``w_k`` is ``weights[k]``, and ``default_weight`` for cores absent from
+    ``weights``.  With all weights equal to 1 this degenerates to
+    :class:`RoundRobinArbiter`.
     """
 
     name = "weighted-round-robin"
@@ -70,31 +59,12 @@ class WeightedRoundRobinArbiter(BusArbiter):
     ) -> None:
         if default_weight < 1:
             raise ArbiterError("default_weight must be at least 1")
-        self._weights = {}
+        self.weights = {}
         for core, weight in (weights or {}).items():
             if weight < 1:
                 raise ArbiterError(f"weight of core {core} must be at least 1, got {weight}")
-            self._weights[int(core)] = int(weight)
-        self._default_weight = int(default_weight)
-
-    def weight_of(self, core: int) -> int:
-        return self._weights.get(core, self._default_weight)
-
-    def interference(
-        self,
-        dest_core: int,
-        dest_accesses: int,
-        competitors: Mapping[int, int],
-        bank: MemoryBank,
-    ) -> int:
-        check_request(dest_core, dest_accesses, competitors)
-        if dest_accesses == 0:
-            return 0
-        delayed = 0
-        for core, demand in competitors.items():
-            if demand > 0:
-                delayed += min(dest_accesses * self.weight_of(core), demand)
-        return delayed * bank.access_latency
+            self.weights[int(core)] = int(weight)
+        self.default_weight = int(default_weight)
 
     def describe(self) -> str:
         return (
@@ -104,6 +74,6 @@ class WeightedRoundRobinArbiter(BusArbiter):
 
     def __repr__(self) -> str:
         return (
-            f"WeightedRoundRobinArbiter(weights={self._weights!r}, "
-            f"default_weight={self._default_weight})"
+            f"WeightedRoundRobinArbiter(weights={self.weights!r}, "
+            f"default_weight={self.default_weight})"
         )

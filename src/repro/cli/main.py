@@ -429,13 +429,6 @@ def _command_search(args: argparse.Namespace) -> int:
         if args.serial
         else EngineRuntime(max_workers=args.workers, cache=args.cache_dir)
     )
-    driver = SearchDriver(
-        args.algorithm,
-        batch=not args.serial,
-        speculation=args.speculation,
-        progress=None if args.quiet else on_progress,
-        runtime=runtime,
-    )
     tracer: Optional[obs.Tracer] = None
     trace_scope = ExitStack()
     if args.trace_out:
@@ -450,6 +443,14 @@ def _command_search(args: argparse.Namespace) -> int:
             )
         )
     try:
+        # inside the try: a refused option still closes the runtime
+        driver = SearchDriver(
+            args.algorithm,
+            batch=not args.serial,
+            speculation=args.speculation,
+            progress=None if args.quiet else on_progress,
+            runtime=runtime,
+        )
         if args.kind == "horizon":
             horizon = minimal_horizon(problem, algorithm=args.algorithm, driver=driver)
             document = {"kind": "horizon", "problem": problem.name, "minimal_horizon": horizon}

@@ -17,7 +17,10 @@ task).  Tasks finishing at ``t`` are closed, tasks whose dependencies are all
 closed (and whose minimal release date has passed, and which are next in
 their core's execution order) are opened with ``release = t``, and the
 interference between the newly opened tasks and the tasks currently alive is
-added — on both sides — through :class:`repro.core.interference.InterferenceTracker`.
+added — on both sides — by :class:`_Accounting`, on integer tables built once
+per run.  For a :class:`~repro.arbiter.base.PerCoreSumArbiter` (round-robin,
+weighted round-robin, FIFO, null) a charge costs O(1) per shared bank; any
+other arbiter is re-evaluated on the destination's full competitor map.
 
 Because the number of simultaneously alive tasks is bounded by the number of
 cores, the overall complexity is ``O(c² · b · n²)`` ≈ ``O(n²)`` for a fixed
@@ -37,15 +40,16 @@ from __future__ import annotations
 
 import heapq
 import time as _time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
+from ..arbiter.base import PerCoreSumArbiter
+from ..model import MemoryDemand
 from .events import AnalysisTrace
-from .interference import IbusCallCounter, InterferenceTracker
-from .kernel import OverlayProblem, compile_problem
+from .kernel import CompiledProblem, OverlayProblem, compile_problem
 from .problem import AnalysisProblem
 from .schedule import Schedule, ScheduledTask, ScheduleStats
-from .vector import _numpy, resolve_backend
+from .vector import resolve_backend
 
 __all__ = ["IncrementalAnalyzer", "analyze_incremental"]
 
@@ -56,39 +60,148 @@ _WARM_REUSE = object()
 
 
 class _AliveTask:
-    """Mutable record of a task currently in the Alive set."""
+    """Mutable record of a task currently in the Alive set.
 
-    __slots__ = ("index", "name", "core", "release", "wcet", "tracker")
+    ``finish`` grows as interference is charged.  ``row`` holds the task's
+    accesses per bank slot; ``banks`` one ``(bank slot, bank id, x, state)``
+    tuple per shared bank it accesses; ``per_bank`` its interference per bank
+    id in first-charge order, or ``None`` when one bank carries it all.
+    """
 
-    def __init__(
-        self,
-        index: int,
-        name: str,
-        core: int,
-        release: int,
-        wcet: int,
-        tracker: InterferenceTracker,
-    ) -> None:
-        self.index = index
-        self.name = name
-        self.core = core
-        self.release = release
-        self.wcet = wcet
-        self.tracker = tracker
-
-    @property
-    def finish(self) -> int:
-        """Current worst-case finish date (grows monotonically while alive)."""
-        return self.release + self.wcet + self.tracker.interference
+    __slots__ = (
+        "index", "name", "core", "slot", "release", "wcet", "finish", "row", "banks", "per_bank"
+    )
 
     def to_entry(self) -> ScheduledTask:
+        per_bank = self.per_bank
+        if per_bank is None:
+            per_bank = {self.banks[0][1]: self.finish - self.release - self.wcet}
         return ScheduledTask(
             name=self.name,
             core=self.core,
             release=self.release,
             wcet=self.wcet,
-            interference_by_bank=self.tracker.interference_by_bank,
+            interference_by_bank=per_bank,
         )
+
+
+def _charge_per_core_sum(dest: _AliveTask, slot: int, row: Sequence[int]) -> int:
+    """Charge ``dest`` with a source on core slot ``slot``; returns the IBUS calls.
+
+    ``x`` is the bank latency and ``state`` the headroom ``max(d·w_k − c_k, 0)``
+    per core slot (infinite for an uncapped core), so the bound's growth
+    ``latency × (min(d·w_k, new) − min(d·w_k, old))`` is ``latency ×
+    min(accesses, headroom)``.
+    """
+    calls = 0
+    per_bank = dest.per_bank
+    for j, bank_id, latency, headroom in dest.banks:
+        accesses = row[j]
+        if accesses:
+            calls += 1
+            left = headroom[slot]
+            if accesses < left:
+                headroom[slot] = left - accesses
+                gain = accesses * latency
+            else:
+                headroom[slot] = 0
+                gain = left * latency
+            if per_bank is not None:
+                per_bank[bank_id] = per_bank.get(bank_id, 0) + gain
+            dest.finish += gain
+    return calls
+
+
+class _Accounting:
+    """Step 5 of Algorithm 1 on integer tables built once per run.
+
+    Bank slots number the platform's shared banks and core slots follow
+    ``kernel.core_ids``.  The tables come from the run's own ``demand``
+    vector, so overlay probes are covered.  A charge counts one IBUS call
+    per bank both tasks access.  On the per-core-sum path the checks of
+    :func:`~repro.arbiter.base.check_request` hold by construction: demands
+    are :class:`~repro.model.MemoryDemand` values, never negative, and
+    callers skip sources on the destination's own core.
+    """
+
+    def __init__(self, kernel: CompiledProblem, demand: Sequence[MemoryDemand]) -> None:
+        platform = kernel.problem.platform
+        self.arbiter = arbiter = kernel.problem.arbiter
+        self.core_ids = kernel.core_ids
+        self.slot_of_core = {core: slot for slot, core in enumerate(kernel.core_ids)}
+        self.banks = platform.shared_banks()
+        slot_of_bank = {bank.identifier: j for j, bank in enumerate(self.banks)}
+        #: per task: ``(bank slot, bank id, accesses)`` for each shared bank
+        #: it accesses, in demand order
+        self.shared: List[Tuple[Tuple[int, int, int], ...]] = []
+        #: per task: access count per bank slot
+        self.rows: List[List[int]] = []
+        for task_demand in demand:
+            pairs = []
+            row = [0] * len(self.banks)
+            for bank_id, accesses in task_demand.items():
+                j = slot_of_bank.get(bank_id)
+                if j is not None:
+                    pairs.append((j, bank_id, accesses))
+                    row[j] = accesses
+                elif bank_id not in kernel.reserved_banks:
+                    platform.bank(bank_id)  # raises: no such bank
+            self.shared.append(tuple(pairs))
+            self.rows.append(row)
+        self.weights: Optional[List[float]] = None
+        self.charge = self._charge_generic
+        if type(arbiter).interference is PerCoreSumArbiter.interference:
+            # w_k from the data interference() reads; no cap is an infinite cap
+            caps = (arbiter.weights.get(core, arbiter.default_weight) for core in kernel.core_ids)
+            self.weights = [_INFINITY if weight is None else weight for weight in caps]
+            self.charge = _charge_per_core_sum
+
+    def open(self, index: int, name: str, core: int, release: int, wcet: int) -> _AliveTask:
+        """A fresh Alive record, charged with nothing yet."""
+        item = _AliveTask()
+        item.index = index
+        item.name = name
+        item.core = core
+        item.slot = self.slot_of_core[core]
+        item.release = release
+        item.wcet = wcet
+        item.finish = release + wcet
+        item.row = self.rows[index]
+        weights = self.weights
+        item.per_bank = {}
+        if weights is None:
+            item.banks = tuple((j, bank_id, d, {}) for j, bank_id, d in self.shared[index])
+        else:
+            # the cap d·w_k, once per (destination, bank, core)
+            item.banks = tuple(
+                (j, bank_id, self.banks[j].access_latency, [d * w for w in weights])
+                for j, bank_id, d in self.shared[index]
+            )
+            if len(item.banks) == 1:
+                item.per_bank = None
+        return item
+
+    def _charge_generic(self, dest: _AliveTask, slot: int, row: Sequence[int]) -> int:
+        """Any other arbiter: ``x`` is the destination's access count and
+        ``state`` its ``{core: demand}`` competitor map, re-evaluated in full."""
+        calls = 0
+        core = self.core_ids[slot]
+        per_bank = dest.per_bank
+        for j, bank_id, d, competitors in dest.banks:
+            accesses = row[j]
+            if accesses:
+                calls += 1
+                competitors[core] = competitors.get(core, 0) + accesses
+                old = per_bank.get(bank_id, 0)
+                new = self.arbiter.interference(dest.core, d, competitors, self.banks[j])
+                # Monotonicity of the arbiter guarantees new >= old; clamp
+                # defensively so a misbehaving third-party arbiter cannot make
+                # finish dates move backwards and break the algorithm's invariant.
+                if new < old:
+                    new = old
+                per_bank[bank_id] = new
+                dest.finish += new - old
+        return calls
 
 
 class IncrementalAnalyzer:
@@ -106,12 +219,10 @@ class IncrementalAnalyzer:
         :attr:`trace` after :meth:`run`.
     backend:
         ``"auto"``/``"vector"``/``"python"`` — see :mod:`repro.core.vector`.
-        The event loop itself is inherently sequential (the alive set is
-        bounded by the core count), so the vector backend only accelerates
-        the release-propagation bookkeeping around it: the unresolved
-        predecessor counts and the future-release scan come from NumPy
-        array passes instead of a Python heap.  Cursor steps, IBUS calls
-        and schedules are bit-identical either way.
+        The event loop is inherently sequential (the alive set is bounded by
+        the core count), so both backends run the same loop: the resolved
+        name is only recorded in ``ScheduleStats.backend``, and forcing
+        ``"vector"`` without NumPy still raises.
     """
 
     def __init__(
@@ -170,9 +281,6 @@ class IncrementalAnalyzer:
             horizon = kernel.horizon
             compiled = 1
         problem_name = problem.name
-        platform = kernel.problem.platform
-        arbiter = kernel.problem.arbiter
-        counter = IbusCallCounter()
 
         task_count = kernel.task_count
         if task_count == 0:
@@ -180,25 +288,16 @@ class IncrementalAnalyzer:
             return Schedule(
                 [], algorithm="incremental", stats=stats, problem_name=problem_name
             )
+        backend_used = resolve_backend(self.backend)
 
         # --- static problem data, straight from the kernel's index arrays -------
         names = kernel.names
         min_release = kernel.min_release
-        core_of = kernel.core_of
         pred_offsets, dep_offsets = kernel.pred_offsets, kernel.dep_offsets
         dep_list = kernel.dep_list
-        np = _numpy() if resolve_backend(self.backend) == "vector" else None
-        backend_used = "vector" if np is not None else "python"
         #: unresolved effective-predecessor count per task (the kernel's CSR
         #: rows are deduplicated, so a plain countdown is exact)
-        if np is not None:
-            pending: List[int] = np.diff(
-                np.asarray(pred_offsets, dtype=np.int64)
-            ).tolist()
-        else:
-            pending = [
-                pred_offsets[i + 1] - pred_offsets[i] for i in range(task_count)
-            ]
+        pending = [pred_offsets[i + 1] - pred_offsets[i] for i in range(task_count)]
 
         core_ids = kernel.core_ids
         core_orders = kernel.core_orders
@@ -206,30 +305,21 @@ class IncrementalAnalyzer:
         core_heads: List[int] = [0] * len(core_ids)
 
         # future-release scan: min-heap of (min_release, id) for tasks not yet
-        # opened, used to find the next interesting future date in O(log n).
-        # The cold vector path walks a NumPy-argsorted pointer instead: the
-        # cursor and the opened flags are both monotone, so the pointer skips
-        # exactly the elements the heap would pop, under the same conditions,
-        # and yields the identical next future date.
-        future_heap: List[Tuple[int, int]] = []
-        future_order: Optional[List[int]] = None
-        future_keys: Optional[List[int]] = None
-        future_ptr = 0
-        if np is None:
-            future_heap = [(min_release[i], i) for i in range(task_count)]
-            heapq.heapify(future_heap)
+        # opened, used to find the next interesting future date in O(log n)
+        future_heap = [(min_release[i], i) for i in range(task_count)]
+        heapq.heapify(future_heap)
 
         # start the cursor at the earliest minimal release date: nothing can
         # open before it, so the old ``t = 0`` first step was a guaranteed
         # no-op whenever every task releases late
         start = min(min_release)
 
+        accounting = _Accounting(kernel, demand)
+        calls = 0
         warm_hits = 0
         resume = None
         if self.trace is None and getattr(problem, "warm", None) is not None:
-            resume = self._warm_resume(
-                problem, kernel, wcet, demand, horizon, start, counter
-            )
+            resume = self._warm_resume(problem, kernel, wcet, horizon, start, accounting)
         if resume is _WARM_REUSE:
             # no-op structural edit on the parent's own kernel: the parent
             # schedule *is* this problem's schedule, bit for bit
@@ -260,17 +350,13 @@ class IncrementalAnalyzer:
                 opened,
                 opened_count,
                 cursor_steps,
+                calls,
                 t,
                 unschedulable,
             ) = resume
             warm_hits = 1
-            backend_used = "python"  # the resumed loop scans its own heap
         else:
-            if np is not None:
-                order = np.argsort(np.asarray(min_release, dtype=np.int64), kind="stable")
-                future_order = order.tolist()
-                future_keys = [min_release[i] for i in future_order]
-            alive = {}
+            alive: Dict[int, _AliveTask] = {}
             entries = []
             opened = [False] * task_count
             opened_count = 0
@@ -289,63 +375,64 @@ class IncrementalAnalyzer:
                 t = _INFINITY
             else:
                 t = float(start)
+        # core slots whose head task waits for nothing but its minimal release
+        # date; a task's pending count can only reach 0 once it heads its
+        # core, since its core predecessor is one of its effective predecessors
+        ready = [
+            slot
+            for slot, order in enumerate(core_orders)
+            if core_heads[slot] < len(order) and not pending[order[core_heads[slot]]]
+        ]
+        core_of = kernel.core_of
+        slot_of_core = accounting.slot_of_core
+        # alive tasks that finish exactly at the cursor's next date (step 6
+        # finds them while it scans for that date)
+        due = [item for item in alive.values() if item.finish == t]
+        charge = accounting.charge
+        open_task = accounting.open
         loop_started = _time.perf_counter()
         while t < _INFINITY:
             cursor_steps += 1
             now = int(t)
 
             # ---- step 1-2: close tasks whose window ends exactly now ----------
-            closing = [item for item in alive.values() if item.finish == now]
+            closing = due
             for item in closing:
                 entries.append(item.to_entry())
                 del alive[item.index]
                 for consumer in dep_list[dep_offsets[item.index] : dep_offsets[item.index + 1]]:
                     pending[consumer] -= 1
+                    if not pending[consumer]:
+                        ready.append(slot_of_core[core_of[consumer]])
 
             # ---- step 3-4: open the next task of each core when possible ------
             opening: List[_AliveTask] = []
-            for slot, order in enumerate(core_orders):
-                position = core_heads[slot]
-                if position >= len(order):
-                    continue
-                head = order[position]
-                if pending[head]:
-                    continue
-                if min_release[head] > now:
-                    continue
-                core_heads[slot] = position + 1
-                core = core_ids[slot]
-                tracker = InterferenceTracker(
-                    name=names[head],
-                    core=core,
-                    demand=demand[head],
-                    arbiter=arbiter,
-                    platform=platform,
-                    counter=counter,
-                )
-                item = _AliveTask(
-                    index=head,
-                    name=names[head],
-                    core=core,
-                    release=now,
-                    wcet=wcet[head],
-                    tracker=tracker,
-                )
-                opening.append(item)
-                opened[head] = True
-                opened_count += 1
+            if ready:
+                ready.sort()  # open in core order
+                waiting = []
+                for slot in ready:
+                    head = core_orders[slot][core_heads[slot]]
+                    if min_release[head] > now:
+                        waiting.append(slot)
+                        continue
+                    core_heads[slot] += 1
+                    opening.append(open_task(head, names[head], core_ids[slot], now, wcet[head]))
+                    opened[head] = True
+                opened_count += len(opening)
+                ready = waiting
 
             # ---- step 5: account interference between new and alive tasks ------
             # Each newly opened task exchanges interference with every task that
             # is already alive (and with the new tasks processed before it in
-            # this very step); tasks on the same core never interfere.
+            # this very step), so each pair is charged once, in the step where
+            # the later of the two opens; tasks on the same core never interfere.
             for item in opening:
-                item_demand = demand[item.index]
+                slot, row = item.slot, item.row
                 for other in alive.values():
-                    if other.core == item.core:
+                    if other.slot == slot:
                         continue
-                    other.tracker.add_source(item.name, item.core, item_demand)
-                    item.tracker.add_source(other.name, other.core, demand[other.index])
+                    calls += charge(other, slot, row)
+                    calls += charge(item, other.slot, other.row)
                 alive[item.index] = item
 
             if self.trace is not None:
@@ -359,25 +446,20 @@ class IncrementalAnalyzer:
 
             # ---- step 6: advance the cursor ------------------------------------
             t_next: float = _INFINITY
+            due = []
             for item in alive.values():
                 finish = item.finish
                 if finish < t_next:
                     t_next = finish
+                    due = [item]
+                elif finish == t_next:
+                    due.append(item)
             # earliest *strictly future* minimal release date of an unopened task
-            if future_order is not None:
-                while future_ptr < task_count and (
-                    future_keys[future_ptr] <= now or opened[future_order[future_ptr]]
-                ):
-                    future_ptr += 1
-                if future_ptr < task_count and future_keys[future_ptr] < t_next:
-                    t_next = future_keys[future_ptr]
-            else:
-                while future_heap and (
-                    future_heap[0][0] <= now or opened[future_heap[0][1]]
-                ):
-                    heapq.heappop(future_heap)
-                if future_heap and future_heap[0][0] < t_next:
-                    t_next = future_heap[0][0]
+            while future_heap and (future_heap[0][0] <= now or opened[future_heap[0][1]]):
+                heapq.heappop(future_heap)
+            if future_heap and future_heap[0][0] < t_next:
+                t_next = future_heap[0][0]
+                due = []
 
             if horizon is not None and t_next != _INFINITY and t_next > horizon:
                 unschedulable = True
@@ -389,7 +471,7 @@ class IncrementalAnalyzer:
             _time.perf_counter() - loop_started,
             tasks=task_count,
             cursor_steps=cursor_steps,
-            ibus_calls=counter.count,
+            ibus_calls=calls,
         )
 
         # --- wrap up --------------------------------------------------------------
@@ -407,7 +489,7 @@ class IncrementalAnalyzer:
         stats = ScheduleStats(
             algorithm="incremental",
             cursor_steps=cursor_steps,
-            ibus_calls=counter.count,
+            ibus_calls=calls,
             wall_time_seconds=_time.perf_counter() - started,
             kernel_compilations=compiled,
             warm_start_hits=warm_hits,
@@ -426,13 +508,13 @@ class IncrementalAnalyzer:
     # structural warm start
     # ------------------------------------------------------------------
 
-    def _warm_resume(self, problem, kernel, wcet, demand, horizon, start, counter):
+    def _warm_resume(self, problem, kernel, wcet, horizon, start, accounting):
         """Rebuild the cold run's state at the warm start's divergence bound.
 
         Before ``first_affected_time`` (``T``) the child's execution is in
         lockstep with the parent's, so the parent schedule determines the
         prefix exactly: entries finishing by ``T`` are final, tasks whose
-        window straddles ``T`` are alive with trackers fed by their pre-``T``
+        window straddles ``T`` are alive and charged with their pre-``T``
         overlaps, and the pre-``T`` cursor steps are replayed from the final
         windows alone (the cursor never visits a non-final finish date —
         openings happen only at steps, so a finish chosen as the next step
@@ -461,7 +543,6 @@ class IncrementalAnalyzer:
         if horizon is not None and start > horizon:
             return None
 
-        names = kernel.names
         index_of = kernel.index_of
         min_release = kernel.min_release
         n = kernel.task_count
@@ -546,73 +627,41 @@ class IncrementalAnalyzer:
             t_sk = int(t_next)
 
         # --- rebuild the alive set (cold insertion order: release, core) ---
-        platform = kernel.problem.platform
-        arbiter = kernel.problem.arbiter
         straddling.sort(key=lambda entry: (entry.release, entry.core))
         sources = sorted(closed + straddling, key=lambda entry: (entry.release, entry.core))
+        rows = accounting.rows
+        slot_of_core = accounting.slot_of_core
+        charge = accounting.charge
+        calls = 0
         alive: Dict[int, _AliveTask] = {}
         for entry in straddling:
             idx = index_of[entry.name]
-            tracker = InterferenceTracker(
-                name=entry.name,
-                core=entry.core,
-                demand=demand[idx],
-                arbiter=arbiter,
-                platform=platform,
-                counter=counter,
-            )
-            item = _AliveTask(
-                index=idx,
-                name=entry.name,
-                core=entry.core,
-                release=entry.release,
-                wcet=wcet[idx],
-                tracker=tracker,
-            )
-            # feed chronologically so the tracker state matches the cold run's
+            item = accounting.open(idx, entry.name, entry.core, entry.release, wcet[idx])
+            # each overlapping source once, chronologically, as in the cold run
             for src in sources:
-                if src.name == entry.name or src.core == entry.core:
-                    continue
-                if entry.overlaps(src):
-                    item.tracker.add_source(src.name, src.core, demand[index_of[src.name]])
+                if src.core != entry.core and entry.overlaps(src):
+                    calls += charge(item, slot_of_core[src.core], rows[index_of[src.name]])
             alive[idx] = item
 
         # --- arbiter calls charged to already-closed destinations -----------
         # chronological sweep over the prefix openings, mirroring the cold
         # run's pairwise exchange: per overlapping other-core pair, one call
-        # per bank both tasks contend on (alive destinations were recounted
-        # naturally while feeding their trackers above)
-        reserved = kernel.reserved_banks
-        banks_of: Dict[int, List[int]] = {}
-        for src in sources:
-            idx = index_of[src.name]
-            banks_of[idx] = [
-                bank
-                for bank, accesses in demand[idx].items()
-                if accesses > 0 and bank not in reserved
-            ]
+        # per bank both tasks contend on, for each closed side (alive
+        # destinations were counted while being charged above)
         straddling_names = {entry.name for entry in straddling}
-        extra_calls = 0
+        shared = accounting.shared
         active: List[ScheduledTask] = []
         for src in sources:
             active = [other for other in active if other.finish > src.release]
-            src_idx = index_of[src.name]
-            src_demand = demand[src_idx]
+            src_row = rows[index_of[src.name]]
             for other in active:
                 if other.core == src.core:
                     continue
-                other_idx = index_of[other.name]
-                other_demand = demand[other_idx]
-                if other.name not in straddling_names:
-                    extra_calls += sum(
-                        1 for bank in banks_of[other_idx] if src_demand[bank] > 0
-                    )
-                if src.name not in straddling_names:
-                    extra_calls += sum(
-                        1 for bank in banks_of[src_idx] if other_demand[bank] > 0
-                    )
+                common = sum(1 for j, _bank, _d in shared[index_of[other.name]] if src_row[j])
+                calls += common * (
+                    (other.name not in straddling_names) + (src.name not in straddling_names)
+                )
             active.append(src)
-        counter.count += extra_calls
 
         # --- the resume instant: the cold run's next step after the prefix --
         t_resume: float = _INFINITY
@@ -647,6 +696,7 @@ class IncrementalAnalyzer:
             opened,
             opened_count,
             cursor_steps,
+            calls,
             t_resume,
             unschedulable,
         )

@@ -1,8 +1,7 @@
-"""Interference accounting shared by the analysis algorithms.
+"""Interference accounting: the rules every analysis charges by.
 
 This module implements step 5 of Algorithm 1 — and the equivalent computation
-inside the fixed-point baseline — in one place so both algorithms charge
-interference in exactly the same way:
+inside the fixed-point baseline — in its plainest form:
 
 * interference is computed **per memory bank** and summed over banks;
 * interfering tasks that run on the same core as each other are merged into a
@@ -17,7 +16,9 @@ interference in exactly the same way:
 Two entry points are provided:
 
 * :class:`InterferenceTracker` — incremental accounting for one destination
-  task, used by the incremental algorithm while the task is *alive*;
+  task while it is *alive*, re-evaluating the arbiter on every charge.  The
+  incremental analyzer charges on integer tables instead
+  (:mod:`repro.core.incremental`) and must match this tracker bit for bit;
 * :func:`interference_from_overlaps` — one-shot computation from a complete
   set of overlapping tasks, used by the fixed-point baseline and by the
   schedule validator.

@@ -92,6 +92,15 @@ class _BadRequest(ValueError):
     """Client-side input error: reported as HTTP 400 with the message."""
 
 
+def _int_field(document: Dict[str, Any], field: str) -> Optional[int]:
+    """An optional integer field; a non-finite or non-numeric value is a 400 naming it."""
+    value = document.get(field)
+    try:
+        return None if value is None else int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _BadRequest(f"{field!r} must be an integer, got {value!r}") from None
+
+
 def _parse_problem(document: Dict[str, Any], field: str = "problem") -> Any:
     record = document.get(field)
     if not isinstance(record, dict):
@@ -448,14 +457,12 @@ class AnalysisServer:
         kind = str(document.get("kind", "memory")).strip().lower()
         if kind not in ("memory", "wcet", "horizon"):
             raise _BadRequest(f"unknown search kind {kind!r} (memory, wcet or horizon)")
-        if "horizon" in document and document["horizon"] is not None:
-            problem = problem.with_horizon(int(document["horizon"]))
+        horizon = _int_field(document, "horizon")
+        if horizon is not None:
+            problem = problem.with_horizon(horizon)
         algorithm = str(document.get("algorithm") or self.default_algorithm)
-        speculation = document.get("speculation")
         driver = SearchDriver(
-            algorithm,
-            runtime=self.runtime,
-            speculation=None if speculation is None else int(speculation),
+            algorithm, runtime=self.runtime, speculation=_int_field(document, "speculation")
         )
         if kind == "horizon":
             horizon = minimal_horizon(problem, driver=driver)

@@ -25,7 +25,7 @@ from repro.analysis import (
     scale_memory_demand,
     wcet_sensitivity,
 )
-from repro.analysis.search import _bisection_ladder, _remaining_levels
+from repro.analysis.search import MAX_SPECULATION, _bisection_ladder, _remaining_levels
 from repro.analysis.sensitivity import SensitivityResult
 from repro.errors import AnalysisError
 from repro.examples_data import figure1_problem
@@ -201,6 +201,12 @@ class TestDriver:
     def test_negative_speculation_rejected(self):
         with pytest.raises(AnalysisError):
             SearchDriver(speculation=-1)
+
+    def test_speculation_above_the_ceiling_rejected(self):
+        """Each level doubles a generation's probes: 30 would ask for ~1e9."""
+        assert SearchDriver(max_workers=1, speculation=MAX_SPECULATION).speculation == 8
+        with pytest.raises(AnalysisError, match="speculation"):
+            SearchDriver(speculation=MAX_SPECULATION + 1)
 
     def test_retired_chunksize_parameter_is_not_accepted(self):
         with pytest.raises(TypeError, match="chunksize"):

@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MemoryBank, Platform
-from repro.arbiter import available_arbiters, create_arbiter
+from repro.arbiter import (
+    PerCoreSumArbiter,
+    WeightedRoundRobinArbiter,
+    available_arbiters,
+    create_arbiter,
+)
 
 BANK = MemoryBank(identifier=0, access_latency=1)
 PLATFORM = Platform.symmetric(8, 1)
@@ -78,3 +83,69 @@ def test_describe_is_a_non_empty_string(policy):
     arbiter = create_arbiter(policy, PLATFORM)
     assert isinstance(arbiter.describe(), str)
     assert arbiter.describe()
+
+
+#: the policies whose bound is a sum of per-core terms, with non-default weights
+PER_CORE_SUM = {
+    "round-robin": create_arbiter("round-robin"),
+    "weighted-round-robin": WeightedRoundRobinArbiter({1: 3, 4: 2}, default_weight=2),
+    "fifo": create_arbiter("fifo"),
+    "null": create_arbiter("null"),
+}
+
+latencies = st.integers(min_value=1, max_value=9)
+
+
+def _capped(arbiter, demand, core, accesses):
+    """``min(d * w_k, c_k)`` from the declared weight (``None``: no cap)."""
+    weight = arbiter.weight_of(core)
+    return accesses if weight is None else min(demand * weight, accesses)
+
+
+def test_per_core_sum_policies_are_the_registered_four():
+    found = {
+        name for name in _POLICIES if isinstance(create_arbiter(name, PLATFORM), PerCoreSumArbiter)
+    }
+    assert found == set(PER_CORE_SUM)
+
+
+@pytest.mark.parametrize("policy", sorted(PER_CORE_SUM))
+@given(demand=st.integers(min_value=0, max_value=300), competitors=competitor_sets, latency=latencies)
+@settings(max_examples=60, deadline=None)
+def test_per_core_sum_follows_the_declared_weights(policy, demand, competitors, latency):
+    arbiter = PER_CORE_SUM[policy]
+    bank = MemoryBank(identifier=0, access_latency=latency)
+    expected = 0
+    if demand:
+        expected = latency * sum(
+            _capped(arbiter, demand, core, accesses) for core, accesses in competitors.items()
+        )
+    assert arbiter.interference(0, demand, competitors, bank) == expected
+
+
+@pytest.mark.parametrize("policy", sorted(PER_CORE_SUM))
+@given(
+    demand=st.integers(min_value=0, max_value=300),
+    growth=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=500)),
+        max_size=20,
+    ),
+    latency=latencies,
+)
+@settings(max_examples=60, deadline=None)
+def test_o1_increments_add_up_to_the_bound(policy, demand, growth, latency):
+    """Growing core k from ``old`` to ``new`` adds ``latency × (min(d·w_k, new) −
+    min(d·w_k, old))``: the charges the incremental analysis makes."""
+    arbiter = PER_CORE_SUM[policy]
+    bank = MemoryBank(identifier=0, access_latency=latency)
+    competitors = {}
+    charged = 0
+    for core, accesses in growth:
+        old = competitors.get(core, 0)
+        competitors[core] = old + accesses
+        if demand:
+            charged += latency * (
+                _capped(arbiter, demand, core, old + accesses)
+                - _capped(arbiter, demand, core, old)
+            )
+        assert charged == arbiter.interference(0, demand, competitors, bank)

@@ -192,6 +192,14 @@ class TestSearch:
         assert code == 0
         assert "largest schedulable WCETs scaling" in capsys.readouterr().out
 
+    def test_speculation_above_the_ceiling_exits_1(self, tmp_path, capsys):
+        problem_path = self.generate(tmp_path)
+        code = main(
+            ["search", str(problem_path), "--kind", "horizon", "--speculation", "30", "--quiet"]
+        )
+        assert code == 1
+        assert "speculation must be 0..8, got 30" in capsys.readouterr().err
+
     def test_sensitivity_without_horizon_is_a_usage_error(self, tmp_path, capsys):
         problem_path = self.generate(tmp_path)
         assert main(["search", str(problem_path), "--kind", "memory", "--quiet"]) == 1

@@ -258,6 +258,21 @@ class TestErrors:
             )
         assert info.value.status == 422
 
+    def test_speculation_above_the_ceiling_422(self, service):
+        """Each level doubles a generation's probes; the driver refuses past 8."""
+        _, client, _ = service
+        with pytest.raises(ServiceError, match="speculation") as info:
+            client.search(_sweep(1)[0], kind="memory", horizon=10**6, speculation=9)
+        assert info.value.status == 422
+
+    @pytest.mark.parametrize("field", ["horizon", "speculation"])
+    def test_infinite_integer_field_400(self, service, field):
+        """``int(Infinity)`` raises OverflowError: a client error, named, not a 500."""
+        _, client, _ = service
+        with pytest.raises(ServiceError, match=field) as info:
+            client.search(_sweep(1)[0], kind="memory", **{field: float("inf")})
+        assert info.value.status == 400
+
     @staticmethod
     def _post_with_content_length(server, value: bytes) -> bytes:
         """Send a bodiless ``POST /analyze`` with a raw header; read to EOF."""
