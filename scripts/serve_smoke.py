@@ -3,7 +3,8 @@
 
 Used by CI (and runnable by hand) to prove the service stack end to end
 through a *real* subprocess and real HTTP: health check, single analysis,
-batch round-trip against the in-process engine, a minimal-horizon search,
+batch round-trip against the in-process engine, the same batch again
+answered from the cache without a queue drain, a minimal-horizon search,
 memory searches of two same-structure problems that differ in one WCET, a
 ``deltas`` batch mixing a parameter and a structural record, the 400 that
 answers a retired batch form, and the telemetry endpoint.
@@ -126,6 +127,16 @@ def main() -> int:
             l.to_dict()["entries"] for l in local
         ], "batch round-trip diverged from the in-process engine"
         print(f"batch ok ({len(remote)} schedules, submission order preserved)", flush=True)
+
+        # the same batch again: every job is a cache hit, answered at
+        # submission, so the queue drains no batch for it
+        batches = client.stats()["queue"]["batches"]
+        again = client.analyze_many(problems)
+        assert [r.to_dict()["entries"] for r in again] == [
+            r.to_dict()["entries"] for r in remote
+        ], "a repeated batch answered differently"
+        assert client.stats()["queue"]["batches"] == batches, "a warm batch was queued"
+        print("warm batch ok (answered at submission, no queue drain)", flush=True)
 
         search = client.search(problems[0], kind="horizon")
         assert search["minimal_horizon"] == minimal_horizon(problems[0]), search

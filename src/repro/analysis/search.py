@@ -168,8 +168,8 @@ class SearchDriver:
     pool constructions — and shares its result cache (unless an explicit
     ``cache`` is given).  ``speculation=None`` (the default) adapts the
     lookahead to the worker count via :func:`adaptive_speculation`, refined
-    by the runtime's observed per-job latency EWMA at every
-    :meth:`begin_search`; pass an integer to pin it.
+    by the runtime's observed latency EWMA of this driver's algorithm at
+    every :meth:`begin_search`; pass an integer to pin it.
 
     :raises AnalysisError: on a ``speculation`` outside ``0..MAX_SPECULATION``
         (each level doubles a generation's probes), or when ``runtime`` is
@@ -201,7 +201,7 @@ class SearchDriver:
         )
         #: bisection-lookahead levels per generation (0 in serial mode);
         #: defaults adaptively to the worker count — and, on a warm runtime,
-        #: to the observed per-probe latency EWMA (re-picked per search by
+        #: to the observed latency EWMA of its algorithm (re-picked per search by
         #: :meth:`begin_search`, so a long-lived driver deepens its lookahead
         #: as the runtime learns how cheap the probes actually are)
         self._adaptive = self.batch and speculation is None
@@ -232,19 +232,18 @@ class SearchDriver:
         return cache.stats if cache is not None else None
 
     def _runtime_latency(self) -> Optional[float]:
-        """Per-job latency EWMA of the bound runtime (None without one)."""
+        """The bound runtime's latency EWMA of this driver's algorithm (None without one)."""
         if self.runtime is None:
             return None
-        return self.runtime.latency_ewma_seconds
+        return self.runtime.algorithm_latency(self.algorithm)
 
     def begin_search(self) -> None:
         """Reset the per-search progress counters (called by search entry points).
 
         An adaptive driver (``speculation=None``) also re-picks its lookahead
-        here from the runtime's current latency EWMA — the ROADMAP follow-on
-        to worker-count speculation: by the second search on a warm runtime
-        the observed per-probe cost, not just the pool width, sizes the
-        speculative generations.  The probe trace is unaffected (speculation
+        here from the runtime's current latency EWMA of its algorithm: by
+        the second search on a warm runtime the observed per-probe cost, not
+        just the pool width, sizes the speculative generations.  The probe trace is unaffected (speculation
         only trades wasted probes for wall clock).
         """
         if self._adaptive:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import warnings
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .. import obs
 from ..core import AnalysisProblem, OverlayProblem, Schedule
@@ -160,92 +160,17 @@ class BatchAnalyzer:
             for index, problem in enumerate(problems)
         ]
         total = len(jobs)
-        schedules: List[Optional[Schedule]] = [None] * total
-        misses: List[AnalysisJob] = []
-        pending: Dict[str, int] = {}  # cache key -> index of the job that computes it
-        duplicates: Dict[int, int] = {}  # duplicate job index -> source job index
-        hits = 0
-        # one batched lookup for the whole sweep: the memory tier is swept
-        # in-process and the residue hits the persistent store as a single
-        # round trip (one SQLite transaction however large the batch)
-        cached = self.cache.get_many([job.cache_key for job in jobs])
-        for job in jobs:
-            key = job.cache_key
-            hit = cached.get(key)
-            if hit is not None:
-                # the digest is content-based: a hit may have been produced
-                # under another problem name, so relabel for this caller —
-                # every position gets its own copy (schedules are mutable)
-                schedules[job.index] = hit.relabeled(job.name)
-                hits += 1
-            elif key in pending:
-                # identical problem already queued in this batch: analyse it once
-                duplicates[job.index] = pending[key]
-            else:
-                pending[key] = job.index
-                misses.append(job)
-        served = total - len(misses)  # cache hits + intra-batch duplicates
+        schedules, misses, duplicates = self._lookup(jobs)
+        hits = total - len(misses) - len(duplicates)
         if progress is not None and hits:
             progress(ProgressEvent(done=hits, total=total, job_name="(cache)"))
 
-        failures: Dict[int, str] = {}  # original batch index -> "<name>: <error>"
-        cache_broken = False
-        if misses:
-            miss_order = [job.index for job in misses]
+        def on_progress(event: ProgressEvent) -> None:
+            progress(ProgressEvent(done=hits + event.done, total=total, job_name=event.job_name))
 
-            def on_progress(event: ProgressEvent) -> None:
-                if progress is not None:
-                    progress(
-                        ProgressEvent(
-                            done=hits + event.done, total=total, job_name=event.job_name
-                        )
-                    )
-
-            # without a bound runtime, a transient one lives for this call
-            # only, sized to the misses (one worker: no pool at all)
-            runtime = self.runtime
-            if runtime is None:
-                runtime = EngineRuntime(
-                    max_workers=min(self.workers, len(misses)), cache=self.cache
-                )
-            try:
-                fresh = runtime.run(
-                    misses,
-                    chunksize=self.chunksize,
-                    progress=on_progress if progress is not None else None,
-                )
-            except BatchExecutionError as exc:
-                # keep (and cache) what completed; re-raise below with the
-                # miss-list positions translated back to batch indices
-                fresh = exc.results
-                failures = {
-                    miss_order[position]: message
-                    for position, message in exc.failures.items()
-                }
-            finally:
-                if runtime is not self.runtime:
-                    runtime.close()
-            fresh_entries = []
-            for original_index, schedule in zip(miss_order, fresh):
-                if schedule is None:
-                    continue
-                schedules[original_index] = schedule
-                job = jobs[original_index]
-                # split digests ride along so the store can index the
-                # structure half (structure-aware eviction / drop_structure)
-                fresh_entries.append((job.cache_key, schedule, job.split_digests))
-            if fresh_entries:
-                try:
-                    # one transaction for the whole batch's fresh results
-                    self.cache.put_many(fresh_entries)
-                except CacheError as exc:
-                    # never discard computed results over a cache failure
-                    cache_broken = True
-                    warnings.warn(
-                        f"result cache writes disabled for this batch: {exc}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+        failures, cache_broken = self._compute(
+            jobs, schedules, misses, progress=on_progress if progress is not None else None
+        )
         for index, source_index in duplicates.items():
             source = schedules[source_index]
             if source is None:
@@ -277,11 +202,106 @@ class BatchAnalyzer:
         return BatchReport(
             schedules=schedules,  # type: ignore[arg-type]
             algorithm=self.algorithm,
-            cached=served,
+            cached=total - len(misses),  # cache hits + intra-batch duplicates
             computed=len(misses),
             workers=workers,
             structures=len({job.structure_digest for job in jobs}),
         )
+
+    def _lookup(
+        self, jobs: List[AnalysisJob]
+    ) -> Tuple[List[Optional[Schedule]], List[int], Dict[int, int]]:
+        """Lookup step: ``(schedules, misses, duplicates)`` of ``jobs``.
+
+        One batched cache lookup for the whole list: the memory tier is swept
+        in-process and the residue hits the persistent store as a single
+        round trip (one SQLite transaction however large the batch).
+        ``schedules`` holds each hit, relabeled for its job, and None
+        elsewhere; ``misses`` lists the positions to compute, one per content
+        key; ``duplicates`` maps every other position of a missed key to the
+        position that computes it.  :class:`~repro.service.JobQueue` runs
+        this step alone at submission.
+        """
+        schedules: List[Optional[Schedule]] = [None] * len(jobs)
+        misses: List[int] = []
+        pending: Dict[str, int] = {}  # cache key -> position of the job that computes it
+        duplicates: Dict[int, int] = {}
+        cached = self.cache.get_many([job.cache_key for job in jobs])
+        for position, job in enumerate(jobs):
+            key = job.cache_key
+            hit = cached.get(key)
+            if hit is not None:
+                # the digest is content-based: a hit may have been produced
+                # under another problem name, so relabel for this caller —
+                # every position gets its own copy (schedules are mutable)
+                schedules[position] = hit.relabeled(job.name)
+            elif key in pending:
+                duplicates[position] = pending[key]
+            else:
+                pending[key] = position
+                misses.append(position)
+        return schedules, misses, duplicates
+
+    def _compute(
+        self,
+        jobs: List[AnalysisJob],
+        schedules: List[Optional[Schedule]],
+        misses: List[int],
+        *,
+        progress: Optional[ProgressCallback] = None,
+    ) -> Tuple[Dict[int, str], bool]:
+        """Compute step: run the ``misses`` positions of ``jobs`` and store them.
+
+        Fresh schedules land in ``schedules`` at their positions and go to the
+        cache in one ``put_many``.  Returns ``(failures, cache_broken)``: the
+        messages of the positions that failed, and whether the cache refused
+        the write.  :class:`~repro.service.JobQueue` runs this step alone on
+        each drain, which holds only misses.
+        """
+        failures: Dict[int, str] = {}
+        if not misses:
+            return failures, False
+        # without a bound runtime, a transient one lives for this call only,
+        # sized to the misses (one worker: no pool at all)
+        runtime = self.runtime
+        if runtime is None:
+            runtime = EngineRuntime(max_workers=min(self.workers, len(misses)), cache=self.cache)
+        try:
+            fresh = runtime.run(
+                [jobs[position] for position in misses],
+                chunksize=self.chunksize,
+                progress=progress,
+            )
+        except BatchExecutionError as exc:
+            # keep (and cache) what completed, with the miss-list positions
+            # translated back to positions in ``jobs``
+            fresh = exc.results
+            failures = {misses[position]: message for position, message in exc.failures.items()}
+        finally:
+            if runtime is not self.runtime:
+                runtime.close()
+        fresh_entries = []
+        for position, schedule in zip(misses, fresh):
+            if schedule is None:
+                continue
+            schedules[position] = schedule
+            job = jobs[position]
+            # split digests ride along so the store can index the
+            # structure half (structure-aware eviction / drop_structure)
+            fresh_entries.append((job.cache_key, schedule, job.split_digests))
+        if fresh_entries:
+            try:
+                # one transaction for the whole batch's fresh results
+                self.cache.put_many(fresh_entries)
+            except CacheError as exc:
+                # never discard computed results over a cache failure
+                warnings.warn(
+                    f"result cache writes disabled for this batch: {exc}",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                return failures, True
+        return failures, False
 
 
 def analyze_many(

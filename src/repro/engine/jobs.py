@@ -14,7 +14,8 @@ problem, split into two halves:
 * the **structure digest** — a SHA-256 over a normalized JSON rendering of
   everything a :class:`~repro.core.kernel.ParamOverlay` cannot change: task
   names/minimal releases/deadlines/metadata (sorted by name), dependencies
-  (sorted by endpoint), the mapping, the platform, and the arbiter signature;
+  (``[producer, consumer, volume]`` triples, sorted), the mapping, the
+  platform, and the arbiter signature;
 * the **overlay digest** — a SHA-256 over the parameter vectors an overlay
   *can* change: per-task WCET and memory demand (in sorted-name order) plus
   the horizon.
@@ -50,13 +51,14 @@ import pickle
 import threading
 import weakref
 from collections import OrderedDict
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..core import AnalysisProblem, CompiledProblem, OverlayProblem, Schedule
 from ..core.analyzer import analyze, get_algorithm, register_algorithm
 from ..errors import AnalysisError, EngineError
-from ..model import graph_to_dict, mapping_to_dict
+from ..model import mapping_to_dict, task_to_dict
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -69,7 +71,8 @@ __all__ = [
 #: bump when the digest recipe or the cached schedule format changes —
 #: old on-disk cache entries are then ignored rather than misread.
 #: v2: the digest split into structure + overlay halves.
-SCHEMA_VERSION = 2
+#: v3: dependencies render as sorted ``[producer, consumer, volume]`` triples.
+SCHEMA_VERSION = 3
 
 
 def _normalize(value: Any, depth: int = 0) -> Any:
@@ -133,14 +136,18 @@ def canonical_problem_dict(problem: AnalysisProblem) -> Dict[str, Any]:
     Unlike :func:`repro.io.json_io.problem_to_dict` (which preserves
     construction order for human readability) this sorts every collection so
     the rendering — and therefore the digest — does not depend on the order in
-    which tasks or dependencies were added.
+    which tasks or dependencies were added.  Tasks are records sorted by name;
+    each dependency is one ``[producer, consumer, volume]`` triple, and the
+    triples are sorted (``(producer, consumer)`` is unique in a graph, so the
+    volume never decides the order).  The graph name is left out: names are
+    labels, not content (hits are relabeled).
     """
-    graph = graph_to_dict(problem.graph)
-    graph.pop("name", None)  # names are labels, not content (hits are relabeled)
-    graph["tasks"] = sorted(graph["tasks"], key=lambda record: record["name"])
-    graph["dependencies"] = sorted(
-        graph["dependencies"], key=lambda record: (record["producer"], record["consumer"])
-    )
+    graph = {
+        "tasks": [task_to_dict(task) for task in sorted(problem.graph, key=attrgetter("name"))],
+        "dependencies": sorted(
+            (dep.producer, dep.consumer, dep.volume) for dep in problem.graph.dependencies()
+        ),
+    }
     platform = problem.platform.to_dict()
     platform.pop("name", None)  # labels again: only structure and latencies count
     platform.pop("description", None)

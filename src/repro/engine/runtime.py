@@ -69,6 +69,13 @@ __all__ = ["RuntimeStats", "EngineRuntime"]
 _LATENCY_SMOOTHING = 0.2
 
 
+def _smoothed(average: Optional[float], observed: float) -> float:
+    """``average`` moved toward ``observed`` (``observed`` when there is none)."""
+    if average is None:
+        return observed
+    return _LATENCY_SMOOTHING * observed + (1 - _LATENCY_SMOOTHING) * average
+
+
 def _analysis_backend() -> str:
     """Resolved process-wide analysis backend for telemetry (never raises)."""
     try:
@@ -169,6 +176,7 @@ class EngineRuntime:
         self.max_workers = default_worker_count() if max_workers is None else int(max_workers)
         self.cache = cache if isinstance(cache, ResultCache) else ResultCache(path=cache)
         self._latency_ewma: Optional[float] = None
+        self._algorithm_latency: Dict[str, float] = {}  # registry name -> EWMA
         self._latency_histogram = obs.Histogram()
         #: worker pools constructed so far — the acceptance-test hook proving
         #: that N batches + a whole search share a single construction
@@ -308,12 +316,16 @@ class EngineRuntime:
             return results
 
     def _record(self, jobs: Sequence[AnalysisJob], results: Sequence[Optional[Schedule]]) -> None:
-        completed = [schedule for schedule in results if schedule is not None]
+        completed = [
+            (job.algorithm.strip().lower(), schedule)
+            for job, schedule in zip(jobs, results)
+            if schedule is not None
+        ]
         with self._cond:
             self._batches += 1
             self._jobs_completed += len(completed)
             self._jobs_failed += len(jobs) - len(completed)
-            for schedule in completed:
+            for algorithm, schedule in completed:
                 self._warm_start_hits += int(
                     getattr(schedule.stats, "warm_start_hits", 0) or 0
                 )
@@ -321,11 +333,10 @@ class EngineRuntime:
                 # wall clock — pool queueing must not pollute the EWMA
                 observed = float(schedule.stats.wall_time_seconds)
                 self._latency_histogram.observe(observed)
-                if self._latency_ewma is None:
-                    self._latency_ewma = observed
-                else:
-                    alpha = _LATENCY_SMOOTHING
-                    self._latency_ewma = alpha * observed + (1 - alpha) * self._latency_ewma
+                self._latency_ewma = _smoothed(self._latency_ewma, observed)
+                self._algorithm_latency[algorithm] = _smoothed(
+                    self._algorithm_latency.get(algorithm), observed
+                )
 
     # ------------------------------------------------------------------
     # telemetry
@@ -333,13 +344,22 @@ class EngineRuntime:
 
     @property
     def latency_ewma_seconds(self) -> Optional[float]:
-        """EWMA of the per-job analyzer wall time (None before the first job).
-
-        The one figure :class:`~repro.analysis.SearchDriver` sizes its
-        lookahead from; unlike :meth:`stats` it does not query the cache.
+        """EWMA of the per-job analyzer wall time over every algorithm's jobs
+        (None before the first job); unlike :meth:`stats` it does not query
+        the cache.
         """
         with self._cond:
             return self._latency_ewma
+
+    def algorithm_latency(self, algorithm: str) -> Optional[float]:
+        """EWMA of the wall time of ``algorithm``'s jobs (None before its first).
+
+        What :class:`~repro.analysis.SearchDriver` sizes its lookahead from:
+        a fixed-point search must not speculate as deep as cheap incremental
+        jobs would allow.  Does not query the cache.
+        """
+        with self._cond:
+            return self._algorithm_latency.get(algorithm.strip().lower())
 
     def stats(self) -> RuntimeStats:
         """Consistent telemetry snapshot of the runtime (cheap, lock-guarded)."""

@@ -3,13 +3,16 @@
 The runtime executes *batches*; a resident service receives *individual*
 requests.  The :class:`JobQueue` bridges the two:
 
-* :meth:`~JobQueue.submit` enqueues one problem and immediately returns a
-  :class:`concurrent.futures.Future` resolving to its
-  :class:`~repro.core.Schedule`;
-* a dispatcher thread drains everything queued at each wake-up, in
-  submission order, and runs it as **one** batch through a cache-backed
-  :class:`~repro.engine.BatchAnalyzer` bound to the runtime — concurrent
-  clients are automatically batched together and fan out over the warm pool;
+* :meth:`~JobQueue.submit` returns a :class:`concurrent.futures.Future`
+  resolving to the problem's :class:`~repro.core.Schedule`;
+* **hits are answered at submission**: a submission whose result the
+  runtime's cache already holds gets a resolved future at once and never
+  enters the queue, so a repeated question does not wait behind other
+  clients' analyses;
+* a dispatcher thread drains everything queued at each wake-up — only
+  misses — in submission order, and runs it as **one** batch on the
+  runtime — concurrent clients are automatically batched together and fan
+  out over the warm pool;
 * **coalescing**: a submission whose problem content digest (cache key:
   digest + algorithm + schema version) matches a queued *or in-flight* job
   does not enqueue new work — its future attaches to the existing job and
@@ -39,7 +42,7 @@ from ..core.analyzer import INCREMENTAL
 from ..engine.batch import BatchAnalyzer
 from ..engine.jobs import AnalysisJob
 from ..engine.runtime import EngineRuntime
-from ..errors import BatchExecutionError, EngineError, QueueFullError, ServiceError
+from ..errors import EngineError, QueueFullError, ServiceError
 
 __all__ = ["QueueStats", "JobQueue"]
 
@@ -83,25 +86,11 @@ class QueueStats:
 class _Entry:
     """One unit of queued work plus every future coalesced onto it."""
 
-    __slots__ = (
-        "key",
-        "problem",
-        "algorithm",
-        "waiters",
-        "enqueued",
-        "tracer",
-        "parent_span_id",
-    )
+    __slots__ = ("job", "key", "waiters", "enqueued", "tracer", "parent_span_id")
 
-    def __init__(
-        self,
-        key: str,
-        problem: Union[AnalysisProblem, OverlayProblem],
-        algorithm: str,
-    ) -> None:
-        self.key = key
-        self.problem = problem
-        self.algorithm = algorithm
+    def __init__(self, job: AnalysisJob) -> None:
+        self.job = job  # its digests were computed at submission
+        self.key = job.cache_key
         #: (future, problem name) pairs; the first is the originating submission
         self.waiters: List[Tuple[Future, str]] = []
         #: submission instant (wait-time telemetry reference point)
@@ -115,12 +104,14 @@ class _Entry:
 class JobQueue:
     """FIFO job queue with digest coalescing and bounded backpressure.
 
-    Coalescing (see the module docs) always applies, so a drained batch never
-    holds two entries of one content key.
+    Every submission is looked up in the runtime's cache first; hits are
+    answered at submission and only misses are queued.  Coalescing (see the
+    module docs) always applies, so a drained batch never holds two entries
+    of one content key.
 
     :param runtime: the :class:`~repro.engine.EngineRuntime` the drained
-        batches execute on (its shared result cache serves repeat content
-        without any analyzer invocation).
+        batches execute on; its shared result cache answers repeat content at
+        submission, without any analyzer invocation.
     :param algorithm: default per-submission algorithm name.
     :param max_pending: bound on queued (not yet running) jobs; at the bound
         :meth:`submit` blocks, then raises
@@ -173,8 +164,9 @@ class JobQueue:
 
         Blocks while the queue is at its ``max_pending`` bound; ``timeout``
         limits that wait (:class:`~repro.errors.QueueFullError` on expiry).
-        Coalesced submissions (identical content digest + algorithm already
-        queued or running) never block — they add no work.
+        Cache hits (returned already resolved) and coalesced submissions
+        (identical content digest + algorithm already queued or running)
+        never block — they add no work.
         """
         return self.map([problem], algorithm=algorithm, timeout=timeout)[0]
 
@@ -187,29 +179,38 @@ class JobQueue:
     ) -> List["Future[Schedule]"]:
         """Submit every problem as one burst; futures in submission order.
 
-        Unlike a loop of :meth:`submit` calls, the whole burst is enqueued
-        under a single lock acquisition with one dispatcher wake-up at the
-        end, so an otherwise-idle queue drains it as **one** batch — which is
-        what keeps a warm ``POST /batch`` of K cached jobs at one cache
-        round trip (O(1) store transactions) instead of K single-job drains.
-        Backpressure still applies: when the burst overflows ``max_pending``
-        the excess waits for the dispatcher mid-burst (several batches then).
+        Unlike a loop of :meth:`submit` calls, the whole burst is looked up
+        in one cache round trip — a warm ``POST /batch`` of K cached jobs
+        costs O(1) store transactions and drains no batch — and its misses
+        are enqueued under a single lock acquisition with one dispatcher
+        wake-up at the end, so an otherwise-idle queue drains them as **one**
+        batch.  Backpressure still applies: when the misses overflow
+        ``max_pending`` the excess waits for the dispatcher mid-burst
+        (several batches then).
         """
-        problems = list(problems)
+        if self._closed:
+            raise ServiceError("job queue is closed")
         algorithm = algorithm if algorithm is not None else self.algorithm
-        # content digests are computed outside the lock: hashing K problems
-        # must not stall the dispatcher or concurrent submitters
-        keys = [
-            AnalysisJob(problem=problem, algorithm=algorithm).cache_key
-            for problem in problems
-        ]
-        futures: List["Future[Schedule]"] = []
+        # the digests and the burst's one cache lookup run outside the lock:
+        # hashing K problems must not stall the dispatcher or concurrent
+        # submitters.  Each hit's future resolves here, before any lock
+        # (done-callbacks run inline); its problem never enters the queue
+        jobs = [AnalysisJob(problem=problem, algorithm=algorithm) for problem in problems]
+        hits = BatchAnalyzer(algorithm, runtime=self.runtime)._lookup(jobs)[0]
+        futures: List["Future[Schedule]"] = [Future() for _ in jobs]
+        for future, hit in zip(futures, hits):
+            if hit is not None:
+                future.set_result(hit)
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            for problem, key in zip(problems, keys):
+            for job, future, hit in zip(jobs, futures, hits):
                 if self._closed:
                     raise ServiceError("job queue is closed")
-                future: "Future[Schedule]" = Future()
+                if hit is not None:
+                    self._submitted += 1
+                    self._completed += 1
+                    continue
+                key = job.cache_key
                 existing = self._queued.get(key) or self._running.get(key)
                 while (
                     existing is None
@@ -233,13 +234,12 @@ class JobQueue:
                 if self._closed:
                     raise ServiceError("job queue is closed")
                 self._submitted += 1
-                futures.append(future)
                 if existing is not None:
-                    existing.waiters.append((future, problem.name))
+                    existing.waiters.append((future, job.name))
                     self._coalesced += 1
                     continue
-                entry = _Entry(key, problem, algorithm)
-                entry.waiters.append((future, problem.name))
+                entry = _Entry(job)
+                entry.waiters.append((future, job.name))
                 self._pending.append(entry)
                 self._queued[key] = entry
             self._cond.notify_all()
@@ -264,7 +264,7 @@ class JobQueue:
                     wait,
                     start=drained_wall - wait,
                     parent_id=entry.parent_span_id,
-                    problem=entry.problem.name,
+                    problem=entry.job.name,
                 )
         return batch
 
@@ -304,24 +304,22 @@ class JobQueue:
         errors: Dict[_Entry, BaseException] = {}
         groups: Dict[str, List[_Entry]] = {}
         for entry in batch:
-            groups.setdefault(entry.algorithm, []).append(entry)
+            groups.setdefault(entry.job.algorithm, []).append(entry)
         for algorithm, entries in groups.items():
             # the analyzer is pool-free (the runtime owns the pool) and shares
-            # the runtime's cache, so constructing one per drain is cheap
+            # the runtime's cache, so constructing one per drain is cheap.
+            # Every entry missed the cache at submission and its key is
+            # unique in the drain, so only the compute step runs here
             analyzer = BatchAnalyzer(algorithm, runtime=self.runtime)
-            problems = [entry.problem for entry in entries]
-            try:
-                results: List[Optional[Schedule]] = list(analyzer.run(problems).schedules)
-                failures: Dict[int, str] = {}
-            except BatchExecutionError as exc:
-                results = list(exc.results)
-                failures = dict(exc.failures)
+            results: List[Optional[Schedule]] = [None] * len(entries)
+            failures, _ = analyzer._compute(
+                [entry.job for entry in entries], results, list(range(len(entries)))
+            )
             for index, entry in enumerate(entries):
-                schedule = results[index] if index < len(results) else None
-                if schedule is not None:
-                    schedules[entry] = schedule
+                if results[index] is not None:
+                    schedules[entry] = results[index]
                 else:
-                    message = failures.get(index, f"{entry.problem.name}: job was lost")
+                    message = failures.get(index, f"{entry.job.name}: job was lost")
                     errors[entry] = EngineError(message)
         self._resolve(batch, errors, schedules)
 

@@ -128,6 +128,21 @@ class TestLatencyAdaptiveSpeculation:
             driver.begin_search()
             assert driver.speculation > initial
 
+    def test_lookahead_is_sized_from_its_own_algorithms_jobs(self, problem):
+        """Cheap incremental jobs must not deepen a fixed-point search."""
+        from repro.engine import AnalysisJob
+
+        with EngineRuntime(max_workers=1) as runtime:
+            runtime.run([AnalysisJob(problem, "incremental", index) for index in range(40)])
+            fixedpoint = SearchDriver("fixedpoint", runtime=runtime)
+            assert fixedpoint.speculation == adaptive_speculation(runtime.workers)
+            assert runtime.algorithm_latency("fixedpoint") is None
+            assert runtime.latency_ewma_seconds is not None  # the all-jobs figure
+            incremental = runtime.algorithm_latency("incremental")
+            assert incremental is not None
+            own = SearchDriver("Incremental", runtime=runtime)
+            assert own.speculation == adaptive_speculation(runtime.workers, incremental)
+
     def test_pinned_speculation_is_never_repicked(self, problem):
         with EngineRuntime(max_workers=1) as runtime:
             driver = SearchDriver(runtime=runtime, speculation=2)

@@ -1,13 +1,14 @@
 """Tests for the :class:`repro.service.JobQueue`.
 
-Covers the four queue guarantees: futures resolve with correct (relabeled)
-schedules, a backed-up queue drains in submission order, identical in-flight
-content coalesces onto one job, and the ``max_pending`` bound exerts real
-backpressure.
+Covers the queue guarantees: futures resolve with correct (relabeled)
+schedules, cache hits are answered at submission, a backed-up queue drains
+in submission order, identical in-flight content coalesces onto one job, and
+the ``max_pending`` bound exerts real backpressure.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -195,6 +196,119 @@ class TestCoalescing:
         assert b.problem_name == "second"
         assert a.to_dict()["entries"] == b.to_dict()["entries"]
         queue.close()
+
+
+class TestHitsAtSubmission:
+    """Cached content is answered by ``map`` itself; only misses are queued."""
+
+    @staticmethod
+    def _warm(queue, problem):
+        queue.submit(problem).result(timeout=30)  # analysed once, now cached
+
+    def test_hit_resolves_while_a_miss_holds_the_dispatcher(self, runtime):
+        gate = _Gate("svc-queue-gate-hit")
+        queue = JobQueue(runtime)
+        self._warm(queue, _problem(60))
+        blocker = queue.submit(_problem(61), algorithm=gate.name)
+        assert gate.entered.wait(timeout=30)
+        hit = queue.submit(_problem(60, name="again"))
+        assert hit.done()  # before the gate opens
+        assert hit.result(timeout=0).problem_name == "again"
+        stats = queue.stats()
+        assert (stats.submitted, stats.completed, stats.batches) == (3, 2, 2)
+        gate.release.set()
+        blocker.result(timeout=30)
+        queue.close()
+
+    def test_hit_never_waits_at_max_pending(self, runtime):
+        gate = _Gate("svc-queue-gate-hit-bp")
+        queue = JobQueue(runtime, max_pending=1)
+        self._warm(queue, _problem(62))
+        blocker = queue.submit(_problem(63), algorithm=gate.name)
+        assert gate.entered.wait(timeout=30)
+        _wait_until(lambda: queue.stats().pending == 0)  # blocker drained
+        filler = queue.submit(_problem(64))  # the one queued slot
+        assert queue.stats().pending == 1
+        hit = queue.submit(_problem(62), timeout=0.1)  # adds no work: no wait
+        assert hit.result(timeout=0) is not None
+        gate.release.set()
+        blocker.result(timeout=30)
+        filler.result(timeout=30)
+        queue.close()
+
+    def test_a_burst_is_looked_up_once_and_the_drain_adds_no_lookup(self, runtime):
+        gate = _Gate("svc-queue-gate-lookups")
+        queue = JobQueue(runtime)
+        for seed in (65, 66):
+            self._warm(queue, _problem(seed))
+        blocker = queue.submit(_problem(67), algorithm=gate.name)
+        assert gate.entered.wait(timeout=30)
+        lookups = runtime.cache.stats.lookups
+        burst = [_problem(seed) for seed in (65, 66, 68, 69, 68)]  # 4 distinct keys
+        futures = queue.map(burst)
+        assert runtime.cache.stats.lookups - lookups == 4
+        assert [future.done() for future in futures] == [True, True, False, False, False]
+        gate.release.set()
+        assert all(future.result(timeout=30) is not None for future in futures)
+        blocker.result(timeout=30)
+        assert runtime.cache.stats.lookups - lookups == 4  # the drain looked up nothing
+        assert queue.stats().coalesced == 1  # the repeated miss
+        queue.close()
+
+    def test_repeated_in_flight_miss_still_coalesces(self, runtime):
+        gate = _Gate("svc-queue-gate-hit-co")
+        queue = JobQueue(runtime)
+        jobs_run = runtime.stats().jobs_run
+        running = queue.submit(_problem(70), algorithm=gate.name)
+        assert gate.entered.wait(timeout=30)
+        follower = queue.submit(_problem(70, name="follower"), algorithm=gate.name)
+        assert not follower.done()
+        assert queue.stats().coalesced == 1
+        gate.release.set()
+        assert follower.result(timeout=30).problem_name == "follower"
+        running.result(timeout=30)
+        assert runtime.stats().jobs_run - jobs_run == 1
+        queue.close()
+
+    def test_concurrent_hits_and_misses_keep_every_count(self, runtime):
+        """Six submitting threads on two cores, thread switches every µs."""
+        queue = JobQueue(runtime)
+        warm = [_problem(seed) for seed in (72, 73)]
+        for problem in warm:
+            self._warm(queue, problem)
+        expected, results = {}, {}
+
+        def client(number):
+            seeds = [72, 73, 74 + number % 3, 72, 73]  # hits, a shared miss, hits
+            expected[number] = [f"c{number}-{position}" for position in range(len(seeds))]
+            futures = queue.map(
+                [_problem(seed, name=name) for seed, name in zip(seeds, expected[number])]
+            )
+            results[number] = [future.result(timeout=30).problem_name for future in futures]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected  # every client got its own, named answers
+        stats = queue.stats()
+        assert stats.submitted == stats.completed == 2 + 6 * 5
+        assert stats.failed == stats.cancelled == stats.pending == stats.in_flight == 0
+        queue.close()
+
+    def test_closed_queue_rejects_a_hit(self, runtime):
+        queue = JobQueue(runtime)
+        self._warm(queue, _problem(71))
+        queue.close()
+        with pytest.raises(ServiceError, match="closed"):
+            queue.submit(_problem(71))
 
 
 class TestBackpressure:

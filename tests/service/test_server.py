@@ -171,8 +171,9 @@ class TestWarmBatchTransactionBudget:
             assert cache.stats.disk_hits >= 8
             # the whole K-job batch cost one batched lookup — not O(K)
             assert cache.stats.transactions - warm_start_txn == 1
-            # and the queue drained the burst as a single batch
-            assert server.queue.stats().batches - warm_start_batches == 1
+            # and every job was answered at submission: the warm burst
+            # drained no batch
+            assert server.queue.stats().batches - warm_start_batches == 0
         finally:
             server.close()
             runtime.close()
